@@ -1,16 +1,17 @@
 // Ablation: collective algorithm choices the paper's §2.7 motivates letting
 // users experiment with — the whole point of interoperable progress is that
 // algorithm variants like these can be built and swapped OUTSIDE the
-// runtime core. Two classic tradeoffs on the simulated fabric:
+// runtime core. Two classic tradeoffs on the simulated fabric, each
+// algorithm forced through ir::Opts:
 //
-//   bcast:     binomial tree (log P rounds of the full payload) vs
-//              pipelined chain (P-1 + C rounds of payload/C chunks)
+//   bcast:     knomial tree (log P steps of the full payload) vs
+//              scatter + ring allgather (log P + P-1 steps of payload/P)
 //   allreduce: recursive doubling (log P rounds of full payload) vs
 //              ring reduce-scatter+allgather (2(P-1) rounds of payload/P)
 //
 // Expectation (and the crossover the bench exposes): tree/doubling wins on
-// small payloads (latency bound), chain/ring wins on large ones (bandwidth
-// bound).
+// small payloads (latency bound), scatter/ring wins on large ones
+// (bandwidth bound).
 #include <benchmark/benchmark.h>
 
 #include <numeric>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "mpx/coll/coll.hpp"
+#include "mpx/coll/ir.hpp"
 #include "mpx/mpx.hpp"
 
 namespace {
@@ -51,7 +53,7 @@ double run_collective(World& world, int nranks, int reps, LaunchFn launch) {
 void BM_BcastAlgos(benchmark::State& state) {
   const int nranks = 8;
   const auto elems = static_cast<std::size_t>(state.range(0));
-  const bool chain = state.range(1) != 0;
+  const bool sag = state.range(1) != 0;
   WorldConfig cfg;
   cfg.nranks = nranks;
   cfg.ranks_per_node = 1;
@@ -63,15 +65,14 @@ void BM_BcastAlgos(benchmark::State& state) {
     auto world = World::create(cfg);
     us = run_collective(*world, nranks, 5, [&](Comm& c) {
       auto* buf = bufs[static_cast<std::size_t>(c.rank())].data();
-      return chain ? coll::ibcast_chain(buf, elems,
-                                        dtype::Datatype::int32(), 0, c)
-                   : coll::ibcast_binomial(buf, elems,
-                                           dtype::Datatype::int32(), 0, c);
+      return coll::ir::ibcast(
+          buf, elems, dtype::Datatype::int32(), 0, c,
+          {.algo = sag ? coll::ir::Algo::scatter_ag : coll::ir::Algo::knomial});
     });
   }
   state.counters["us_per_op"] = us;
   state.counters["bytes"] = static_cast<double>(elems * 4);
-  state.SetLabel(chain ? "chain" : "binomial");
+  state.SetLabel(sag ? "scatter_ag" : "knomial");
 }
 
 void BM_AllreduceAlgos(benchmark::State& state) {
@@ -92,12 +93,10 @@ void BM_AllreduceAlgos(benchmark::State& state) {
     auto world = World::create(cfg);
     us = run_collective(*world, nranks, 5, [&](Comm& c) {
       const auto r = static_cast<std::size_t>(c.rank());
-      return ring ? coll::iallreduce_ring(in[r].data(), out[r].data(), elems,
-                                          dtype::Datatype::int32(),
-                                          dtype::ReduceOp::sum, c)
-                  : coll::iallreduce(in[r].data(), out[r].data(), elems,
-                                     dtype::Datatype::int32(),
-                                     dtype::ReduceOp::sum, c);
+      return coll::ir::iallreduce(
+          in[r].data(), out[r].data(), elems, dtype::Datatype::int32(),
+          dtype::ReduceOp::sum, c,
+          {.algo = ring ? coll::ir::Algo::ring : coll::ir::Algo::rd});
     });
   }
   state.counters["us_per_op"] = us;

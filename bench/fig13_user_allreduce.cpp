@@ -4,9 +4,6 @@
 //
 // Series per payload size:
 //
-//   seed_rounds   the pre-compiler round-based builder
-//                 (coll::iallreduce_rounds), re-planning and re-allocating
-//                 its Sched on every call — the seed baseline.
 //   uncached      the schedule compiler forced to recompile per call
 //                 (ir::Opts{use_cache = false}): isolates compile cost.
 //   cached        the compiler's steady state: first call compiles into
@@ -14,8 +11,7 @@
 //                 the cached schedule (zero planning, zero allocation).
 //   persistent    allreduce_init once, then start/wait cycles over the
 //                 pinned cursor — the paper's "user-level schedule"
-//                 endgame (§5.3) and the headline win condition: it must
-//                 match or beat seed_rounds at every point.
+//                 endgame (§5.3).
 //   user_rd       the original Listing 1.8 user-level recursive doubling
 //                 (int32+sum, in place, pow2 ranks), kept for continuity
 //                 with the paper's figure.
@@ -112,18 +108,6 @@ int main() {
     const auto dt = dtype::Datatype::int32();
     const auto op = dtype::ReduceOp::sum;
 
-    {
-      auto w = World::create(cfg);
-      emit("seed_rounds", bytes,
-           run_series(*w, warmups, reps,
-                      [&](int r, const Comm& c, Stream s) {
-                        drive(coll::iallreduce_rounds(in[r].data(),
-                                                      out[r].data(), count,
-                                                      dt, op, c),
-                              s);
-                      }),
-           reps);
-    }
     {
       auto w = World::create(cfg);
       emit("uncached", bytes,

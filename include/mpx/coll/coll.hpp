@@ -1,23 +1,34 @@
 // mpx/coll/coll.hpp
 //
-// Nonblocking (and blocking) collective operations, implemented as progress-
-// hook-driven schedules over the public core API (see sched.hpp). Algorithms
-// follow the classic MPICH choices:
+// Nonblocking (and blocking) collective operations. Every call runs on the
+// schedule compiler (mpx/coll/ir.hpp): it fetches (or compiles) a
+// dependency-graph schedule for its shape and hands it to the executor, a
+// progress source driven by the comm's stream — collectives as a library
+// over a core with interoperable progress (the paper's §2.7). Algorithms:
 //
-//   barrier    — dissemination
-//   bcast      — binomial tree
-//   reduce     — binomial tree (commutative ops)
-//   allreduce  — recursive doubling with non-power-of-two fold-in/out
-//   allgather  — ring
-//   gather     — linear to root
-//   scatter    — linear from root
-//   alltoall   — pairwise rotation
+//   barrier                dissemination
+//   bcast                  knomial tree | knomial scatter + ring allgather
+//                          (cost model; noncontiguous types: knomial)
+//   reduce                 knomial tree
+//   allreduce              recursive doubling | ring | recursive-halving
+//                          reduce-scatter + allgather (cost model)
+//   allgather(v)           ring
+//   gather(v), scatter(v)  linear (root posts every message at once)
+//   alltoall               linear (every pair at once)
+//   reduce_scatter_block   ring
+//   scan, exscan           linear chain
 //
-// All "count"s are per-rank element counts of `dt`, MPI-style. Reductions
+// ir::Opts / MPX_COLL_ALGO force an algorithm where the cost model picks.
+// All "count"s are per-rank element counts of `dt`, MPI-style; any valid
+// datatype works except that reductions need a contiguous one. Reductions
 // assume commutative operators (all built-in ReduceOps are commutative).
+// Buffers may be null when the count is 0.
 #pragma once
 
-#include "mpx/coll/sched.hpp"
+#include <span>
+
+#include "mpx/core/comm.hpp"
+#include "mpx/dtype/reduce_op.hpp"
 
 namespace mpx::coll {
 
@@ -27,40 +38,12 @@ extern const void* const in_place;
 Request ibarrier(const Comm& comm);
 void barrier(const Comm& comm);
 
-/// ibcast/ireduce/iallreduce route through the schedule compiler
-/// (mpx::coll::ir) when the datatype is compilable and MPX_COLL_IR is not
-/// disabled: the per-comm cache then serves repeated shapes with zero
-/// planning and zero allocation. Non-contiguous datatypes — and every
-/// collective the compiler does not cover yet — take the legacy
-/// round-based builders below (also callable directly as *_rounds, the
-/// bench's A/B reference).
+/// Repeated shapes are served from the per-comm schedule cache with zero
+/// planning and zero allocation; noncontiguous datatypes compile per call.
 Request ibcast(void* buf, std::size_t count, dtype::Datatype dt, int root,
                const Comm& comm);
 void bcast(void* buf, std::size_t count, dtype::Datatype dt, int root,
            const Comm& comm);
-
-/// Legacy round-based paths (pre-compiler behavior, kept as the bench and
-/// correctness reference): binomial/chain bcast, binomial-tree reduce,
-/// recursive-doubling allreduce.
-Request ibcast_rounds(void* buf, std::size_t count, dtype::Datatype dt,
-                      int root, const Comm& comm);
-Request ireduce_rounds(const void* sendbuf, void* recvbuf, std::size_t count,
-                       dtype::Datatype dt, dtype::ReduceOp op, int root,
-                       const Comm& comm);
-Request iallreduce_rounds(const void* sendbuf, void* recvbuf,
-                          std::size_t count, dtype::Datatype dt,
-                          dtype::ReduceOp op, const Comm& comm);
-
-/// Force the binomial-tree algorithm (latency-optimized).
-Request ibcast_binomial(void* buf, std::size_t count, dtype::Datatype dt,
-                        int root, const Comm& comm);
-
-/// Force the pipelined-chain algorithm (bandwidth-optimized): the payload
-/// moves down the rank chain in chunks, overlapping the receive of chunk
-/// k+1 with the forward of chunk k.
-Request ibcast_chain(void* buf, std::size_t count, dtype::Datatype dt,
-                     int root, const Comm& comm,
-                     std::size_t chunk_bytes = 0);
 
 Request ireduce(const void* sendbuf, void* recvbuf, std::size_t count,
                 dtype::Datatype dt, dtype::ReduceOp op, int root,
@@ -73,12 +56,6 @@ Request iallreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                    dtype::Datatype dt, dtype::ReduceOp op, const Comm& comm);
 void allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                dtype::Datatype dt, dtype::ReduceOp op, const Comm& comm);
-
-/// Ring allreduce (reduce-scatter + allgather): bandwidth-optimal variant
-/// for large payloads; the ablation bench compares it to recursive doubling.
-Request iallreduce_ring(const void* sendbuf, void* recvbuf, std::size_t count,
-                        dtype::Datatype dt, dtype::ReduceOp op,
-                        const Comm& comm);
 
 Request iallgather(const void* sendbuf, std::size_t count, dtype::Datatype dt,
                    void* recvbuf, const Comm& comm);

@@ -1,12 +1,13 @@
 // mpx/coll/ir.hpp
 //
 // The collective schedule IR and compiler ("Extending MPI with User-Level
-// Schedules" made concrete). A compiled Schedule is a flat graph of
-// send/recv/reduce/copy/fn nodes with explicit dependency edges — the
-// round-barrier model of sched.hpp is the special case where every node of
-// layer k depends on all of layer k-1. Sparser edges let independent data
-// flow independently: a ring allreduce's reduce-scatter chunks stream
-// without waiting for the slowest peer of each "round".
+// Schedules" made concrete) — the one engine every mpx::coll collective
+// runs on. A compiled Schedule is a flat graph of send/recv/reduce/copy/fn
+// nodes with explicit dependency edges; a round-by-round algorithm is the
+// special case where every node of layer k depends on all of layer k-1.
+// Sparser edges let independent data flow independently: a ring
+// allreduce's reduce-scatter chunks stream without waiting for the slowest
+// peer of each "round".
 //
 // Schedules are specialized once per (coll kind, dtype layout, reduce op,
 // count class, in-place, root, rank) and are immutable after Builder::
@@ -19,14 +20,14 @@
 // Buffer hazards are inferred, not declared: the Builder records each
 // node's read/write ranges and adds RAW/WAR/WAW edges against earlier
 // nodes automatically, so algorithm builders are written as straight-line
-// emission in program order — exactly like the round-based builders, minus
-// the barriers.
+// emission in program order.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "mpx/base/pool.hpp"
@@ -42,7 +43,26 @@ namespace verify {
 struct Report;  // ir_verify.hpp
 }
 
-enum class CollKind : std::uint8_t { allreduce = 0, bcast, reduce };
+enum class CollKind : std::uint8_t {
+  allreduce = 0,
+  bcast,
+  reduce,
+  barrier,
+  allgather,
+  alltoall,
+  gather,
+  scatter,
+  reduce_scatter_block,
+  scan,
+  exscan,
+  gatherv,   ///< per-call layouts (compile_v); never cached
+  scatterv,
+  allgatherv,
+  neighbor_allgather,  ///< per-call neighbor lists (compile_neighbor)
+  neighbor_alltoall,
+};
+
+const char* to_string(CollKind k);
 
 /// Concrete algorithm a schedule implements. `auto_` is only an input to
 /// selection — compiled schedules always carry a resolved value.
@@ -53,6 +73,10 @@ enum class Algo : std::uint8_t {
   rsag,        ///< recursive-halving RS + recursive-doubling AG (allreduce)
   knomial,     ///< radix-k tree (bcast, reduce)
   scatter_ag,  ///< knomial scatter + ring allgather (bcast)
+  dissemination,  ///< log2 rounds of zero-byte tokens (barrier)
+  linear,      ///< every message posted at once (gather, scatter, alltoall,
+               ///< their v-variants, neighborhood collectives)
+  chain,       ///< rank r waits on r-1, feeds r+1 (scan, exscan)
 };
 
 const char* to_string(Algo a);
@@ -72,6 +96,12 @@ enum class Space : std::uint8_t {
 ///   lo(b) = count * b / div   (elements; the standard block partition)
 /// so one schedule covers every count in its class, including counts
 /// smaller than `div` (empty blocks become zero-byte operations).
+///
+/// A div-1 Part names whole vectors: {1, b0, b1} is vectors [b0, b1) of
+/// `count` elements each, for buffers that hold several (allgather's
+/// receive buffer holds one per rank). Launched with count 1 the same form
+/// is an exact element range, which is how the v-variants address their
+/// per-rank displacements.
 struct Part {
   std::uint32_t div = 1;
   std::uint32_t b0 = 0;
@@ -97,10 +127,17 @@ inline Part block(std::uint32_t div, std::uint32_t b) {
 inline Part blocks(std::uint32_t div, std::uint32_t b0, std::uint32_t b1) {
   return Part{div, b0, b1};
 }
+/// Whole vector b of a buffer holding several.
+inline Part vec(std::uint32_t b) { return Part{1, b, b + 1}; }
+/// Whole vectors [b0, b1) of a buffer holding several.
+inline Part vecs(std::uint32_t b0, std::uint32_t b1) {
+  return Part{1, b0, b1};
+}
 
 /// One node operand: an element range within a buffer space. For scratch
 /// operands the range indexes within slot `slot` (whose own size is a Part
-/// of the vector); for send/recv it indexes the user buffer directly.
+/// of the vector); for send/recv it indexes the user buffer directly, in
+/// elements of the datatype's extent.
 struct Ref {
   Space space = Space::none;
   std::uint16_t slot = 0;
@@ -128,8 +165,9 @@ using FnNode = std::function<void(const ExecView&)>;
 
 /// One IR node. `a` is the source / input operand, `b` the destination /
 /// in-out operand; element count comes from the operand ranges (equal by
-/// construction). Flat POD-ish storage: the executor walks these arrays
-/// with no per-node allocation or indirection.
+/// construction: identical Parts, or div-1 Parts of equal width). Flat
+/// POD-ish storage: the executor walks these arrays with no per-node
+/// allocation or indirection.
 struct Node {
   NodeKind kind = NodeKind::copy;
   Ref a;
@@ -186,6 +224,9 @@ class Schedule {
   /// Largest element count this schedule's scratch sizing admits (the
   /// count-class upper bound it was compiled for).
   std::size_t max_count = 0;
+  /// Whole vectors the send / recv buffers hold (bounds of div-1 Parts).
+  std::uint32_t send_vecs = 1;
+  std::uint32_t recv_vecs = 1;
 
   std::vector<Node> nodes;
   std::vector<std::uint32_t> succ;      ///< CSR successor node ids
@@ -219,8 +260,14 @@ using SchedPtr = std::shared_ptr<const Schedule>;
 /// cursor machinery as the built-in algorithms.
 class Builder {
  public:
+  /// Any valid datatype; scratch slots and reduce nodes additionally need
+  /// a contiguous one.
   Builder(CollKind kind, dtype::Datatype dt, dtype::ReduceOp op,
           bool in_place, int rank, int size);
+
+  /// How many whole vectors the send and recv buffers hold (default 1
+  /// each; 0 = the buffer is not addressed). Call before emitting nodes.
+  void spans(std::uint32_t send_vecs, std::uint32_t recv_vecs);
 
   /// Allocate a scratch slot sized to `size` (a Part of the vector).
   std::uint16_t scratch(Part size);
@@ -268,6 +315,8 @@ class Builder {
   bool in_place_;
   int rank_;
   int size_;
+  std::uint32_t send_vecs_ = 1;
+  std::uint32_t recv_vecs_ = 1;
   std::uint32_t nreq_ = 0;
   std::vector<Node> nodes_;
   std::vector<std::vector<Access>> accesses_;  ///< per node, compile-only
@@ -307,12 +356,14 @@ struct CacheStats {
 };
 CacheStats cache_stats(const Comm& comm);
 
-/// True when the compiled path can serve (contiguous datatype; the legacy
-/// round-based builders remain for everything else).
+/// True when reductions can run on `dt` (contiguous, nonzero size). Every
+/// collective accepts any valid datatype; only the reducing kinds need
+/// this.
 bool eligible(const dtype::Datatype& dt);
 
 /// Compile (or fetch from the comm's cache) and launch. These are what
-/// coll::iallreduce / ibcast / ireduce route through.
+/// coll::iallreduce / ibcast / ireduce route through; `opts` forces an
+/// algorithm or bypasses the cache.
 Request iallreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                    dtype::Datatype dt, dtype::ReduceOp op, const Comm& comm,
                    Opts opts = {});
@@ -329,12 +380,32 @@ Request allreduce_init(const void* sendbuf, void* recvbuf, std::size_t count,
                        dtype::Datatype dt, dtype::ReduceOp op,
                        const Comm& comm, Opts opts = {});
 
-/// Compile one rank's schedule without a communicator (unit tests and
-/// offline inspection). Deterministic: every rank compiling with the same
-/// arguments selects the same algorithm.
+/// Compile one rank's schedule of any kind but the per-call ones below,
+/// without a communicator (the front end, unit tests, offline inspection).
+/// Deterministic: every rank compiling with the same arguments selects the
+/// same algorithm. `in_place` is the send side's flag, except for scatter,
+/// where it marks the root's recvbuf as in place.
 SchedPtr compile(CollKind kind, std::size_t count, dtype::Datatype dt,
                  dtype::ReduceOp op, bool in_place, int root, int rank,
                  int size, const net::CostModel& net, Algo force = Algo::auto_);
+
+/// Compile one rank's v-variant schedule (gatherv, scatterv, allgatherv).
+/// `counts`/`displs` are per rank, in elements (only the root's matter for
+/// gatherv/scatterv; other ranks may pass empty spans); `own` is this
+/// rank's sendcount (gatherv, allgatherv) or recvcount (scatterv). Parts
+/// are exact element ranges: launch with count 1. Zero-count messages are
+/// omitted (both sides know the count).
+SchedPtr compile_v(CollKind kind, std::span<const std::size_t> counts,
+                   std::span<const std::size_t> displs, std::size_t own,
+                   dtype::Datatype dt, bool in_place, int root, int rank,
+                   int size);
+
+/// Compile one rank's neighborhood collective over its Cartesian neighbor
+/// list (Cart::neighbors order; -1 = no neighbor). A self-neighbor becomes
+/// a local copy.
+SchedPtr compile_neighbor(CollKind kind, std::size_t count,
+                          dtype::Datatype dt, std::span<const int> nbrs,
+                          int rank, int size);
 
 /// Execute an arbitrary schedule (compiled or hand-built via Builder) over
 /// the given buffers. `sendbuf` may be null for in-place schedules.

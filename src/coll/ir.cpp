@@ -27,6 +27,31 @@ const char* to_string(Algo a) {
     case Algo::rsag: return "rsag";
     case Algo::knomial: return "knomial";
     case Algo::scatter_ag: return "scatter_ag";
+    case Algo::dissemination: return "dissemination";
+    case Algo::linear: return "linear";
+    case Algo::chain: return "chain";
+  }
+  return "?";
+}
+
+const char* to_string(CollKind k) {
+  switch (k) {
+    case CollKind::allreduce: return "allreduce";
+    case CollKind::bcast: return "bcast";
+    case CollKind::reduce: return "reduce";
+    case CollKind::barrier: return "barrier";
+    case CollKind::allgather: return "allgather";
+    case CollKind::alltoall: return "alltoall";
+    case CollKind::gather: return "gather";
+    case CollKind::scatter: return "scatter";
+    case CollKind::reduce_scatter_block: return "reduce_scatter_block";
+    case CollKind::scan: return "scan";
+    case CollKind::exscan: return "exscan";
+    case CollKind::gatherv: return "gatherv";
+    case CollKind::scatterv: return "scatterv";
+    case CollKind::allgatherv: return "allgatherv";
+    case CollKind::neighbor_allgather: return "neighbor_allgather";
+    case CollKind::neighbor_alltoall: return "neighbor_alltoall";
   }
   return "?";
 }
@@ -132,6 +157,10 @@ bool parts_overlap(const Part& x, const Part& y) {
   return x0 < y1 && y0 < x1;
 }
 
+bool same_width(const Part& x, const Part& y) {
+  return x == y || (x.div == 1 && y.div == 1 && x.b1 - x.b0 == y.b1 - y.b0);
+}
+
 bool refs_conflict(const Ref& a, const Ref& b) {
   // Space::none marks an fn node's whole-memory barrier operand.
   if (a.space == Space::none || b.space == Space::none) return true;
@@ -144,13 +173,20 @@ Builder::Builder(CollKind kind, dtype::Datatype dt, dtype::ReduceOp op,
                  bool in_place, int rank, int size)
     : kind_(kind), dt_(std::move(dt)), op_(op), in_place_(in_place),
       rank_(rank), size_(size) {
-  expects(dt_.valid() && dt_.is_contiguous(),
-          "ir::Builder: requires a contiguous datatype");
+  expects(dt_.valid(), "ir::Builder: invalid datatype");
   expects(size_ >= 1 && rank_ >= 0 && rank_ < size_,
           "ir::Builder: rank out of range");
 }
 
+void Builder::spans(std::uint32_t send_vecs, std::uint32_t recv_vecs) {
+  expects(nodes_.empty(), "ir::Builder::spans: call before emitting nodes");
+  send_vecs_ = send_vecs;
+  recv_vecs_ = recv_vecs;
+}
+
 std::uint16_t Builder::scratch(Part size) {
+  expects(dt_.is_contiguous(),
+          "ir::Builder: scratch needs a contiguous datatype");
   expects(size.b0 == 0 && size.b1 >= 1 && size.b1 <= size.div,
           "ir::Builder: scratch slots are prefix windows [0, b1/div)");
   expects(slots_.size() < 0xFFFF, "ir::Builder: too many scratch slots");
@@ -168,7 +204,11 @@ void Builder::check_ref(const Ref& r) const {
                 static_cast<std::uint64_t>(sz.b1) * r.r.div,
             "ir::Builder: scratch ref outside its slot");
   } else {
-    expects(r.r.b1 <= r.r.div, "ir::Builder: ref outside the vector");
+    const std::uint32_t vecs =
+        r.space == Space::send ? send_vecs_ : recv_vecs_;
+    expects(static_cast<std::uint64_t>(r.r.b1) <=
+                static_cast<std::uint64_t>(vecs) * r.r.div,
+            "ir::Builder: ref outside the buffer");
     if (r.space == Space::send) {
       expects(!in_place_,
               "ir::Builder: send-space ref in an in-place schedule");
@@ -255,10 +295,13 @@ void Builder::recv(Ref dst, int peer) {
 void Builder::reduce(Ref in, Ref inout) {
   check_ref(in);
   check_ref(inout);
-  // Identical Parts guarantee identical resolved lengths for every count
-  // (different-position ranges of equal rational width can floor to
-  // different element counts).
-  expects(in.r == inout.r, "ir::Builder::reduce: operand Parts must match");
+  // Identical Parts (or whole vectors of equal width) guarantee identical
+  // resolved lengths for every count (different-position fractions of
+  // equal rational width can floor to different element counts).
+  expects(dt_.is_contiguous(),
+          "ir::Builder::reduce: needs a contiguous datatype");
+  expects(same_width(in.r, inout.r),
+          "ir::Builder::reduce: operand widths must match");
   expects(inout.space != Space::send,
           "ir::Builder::reduce into the send buffer");
   Node nd;
@@ -271,7 +314,8 @@ void Builder::reduce(Ref in, Ref inout) {
 void Builder::copy(Ref src, Ref dst) {
   check_ref(src);
   check_ref(dst);
-  expects(src.r == dst.r, "ir::Builder::copy: operand Parts must match");
+  expects(same_width(src.r, dst.r),
+          "ir::Builder::copy: operand widths must match");
   expects(dst.space != Space::send, "ir::Builder::copy into the send buffer");
   Node nd;
   nd.kind = NodeKind::copy;
@@ -303,6 +347,8 @@ SchedPtr Builder::materialize(Algo algo, int root,
   s->rank = rank_;
   s->size = size_;
   s->max_count = max_count;
+  s->send_vecs = send_vecs_;
+  s->recv_vecs = recv_vecs_;
   s->nreq = nreq_;
 
   const auto n = static_cast<std::uint32_t>(nodes_.size());

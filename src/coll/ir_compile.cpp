@@ -1,5 +1,5 @@
 // The collective schedule compiler: algorithm selection against the NIC
-// cost model and the per-algorithm IR builders.
+// cost model and the per-algorithm IR builders for every collective kind.
 //
 // Every builder is straight-line emission in program order; dependency
 // edges come from the Builder's hazard analysis (ir.cpp). Non-power-of-two
@@ -12,12 +12,15 @@
 // Selection is deterministic from (shape, rank count, cost model) alone,
 // evaluated at the count class's upper bound, so every member of a
 // communicator independently compiles the same algorithm — no negotiation
-// round.
+// round. Kinds with one algorithm and no scratch (allgather, alltoall,
+// gather, scatter) are class-free: one schedule serves every count.
+#include <algorithm>
 #include <bit>
+#include <limits>
 #include <string>
 
+#include "ir_internal.hpp"
 #include "mpx/base/cvar.hpp"
-#include "mpx/coll/ir.hpp"
 
 namespace mpx::coll::ir {
 
@@ -274,6 +277,152 @@ void build_reduce_knomial(Builder& b, int root, int k) {
   }
 }
 
+// ---- data movement ---------------------------------------------------------
+
+/// Vector i (mod P) of a buffer holding one vector per rank.
+Part vec_mod(long i, int P) {
+  return vec(static_cast<std::uint32_t>(((i % P) + P) % P));
+}
+
+/// Dissemination: round k sends a zero-byte token to r + 2^k and waits for
+/// one from r - 2^k. Each round's token lands in its own slot, so every
+/// receive pre-posts and each send waits only on the previous receive.
+void build_barrier(Builder& b) {
+  const int P = b.size(), r = b.rank();
+  std::uint16_t tok = b.scratch(full());
+  for (int dist = 1; dist < P; dist *= 2) {
+    const std::uint16_t next = b.scratch(full());
+    b.send(scratch_ref(tok, full()), (r + dist) % P);
+    b.recv(scratch_ref(next, full()), (r - dist + P) % P);
+    tok = next;
+  }
+}
+
+/// Ring allgather: step k forwards vector r-k and receives r-k-1. Every
+/// receive lands in its own vector, so all pre-post; a send waits only on
+/// the receive that delivered its vector.
+void build_allgather_ring(Builder& b) {
+  const int P = b.size(), r = b.rank();
+  const bool inp = b.in_place();
+  b.spans(inp ? 0 : 1, static_cast<std::uint32_t>(P));
+  if (!inp) b.copy(send_buf(full()), recv_buf(vec_mod(r, P)));
+  const int next = (r + 1) % P, prev = (r + P - 1) % P;
+  for (int k = 0; k < P - 1; ++k) {
+    b.send(k == 0 && !inp ? send_buf(full()) : recv_buf(vec_mod(r - k, P)),
+           next);
+    b.recv(recv_buf(vec_mod(r - k - 1, P)), prev);
+  }
+}
+
+/// Alltoall: every pair exchange posted at once.
+void build_alltoall(Builder& b) {
+  const int P = b.size(), r = b.rank();
+  b.spans(static_cast<std::uint32_t>(P), static_cast<std::uint32_t>(P));
+  b.copy(send_buf(vec_mod(r, P)), recv_buf(vec_mod(r, P)));
+  for (int k = 1; k < P; ++k) {
+    const int src = (r - k + P) % P;
+    const int dst = (r + k) % P;
+    b.recv(recv_buf(vec_mod(src, P)), src);
+    b.send(send_buf(vec_mod(dst, P)), dst);
+  }
+}
+
+/// Linear gather: the root posts one receive per rank.
+void build_gather(Builder& b, int root) {
+  const int P = b.size(), r = b.rank();
+  const bool inp = b.in_place();
+  if (r != root) {
+    b.spans(1, 0);
+    b.send(send_buf(full()), root);
+    return;
+  }
+  b.spans(inp ? 0 : 1, static_cast<std::uint32_t>(P));
+  for (int i = 0; i < P; ++i) {
+    if (i != root) b.recv(recv_buf(vec_mod(i, P)), i);
+  }
+  if (!inp) b.copy(send_buf(full()), recv_buf(vec_mod(root, P)));
+}
+
+/// Linear scatter: the root posts one send per rank. `keep` is false when
+/// the root's own block stays in place (its recvbuf is coll::in_place).
+void build_scatter(Builder& b, int root, bool keep) {
+  const int P = b.size(), r = b.rank();
+  if (r != root) {
+    b.spans(0, 1);
+    b.recv(recv_buf(full()), root);
+    return;
+  }
+  b.spans(static_cast<std::uint32_t>(P), keep ? 1 : 0);
+  for (int i = 0; i < P; ++i) {
+    if (i != root) b.send(send_buf(vec_mod(i, P)), i);
+  }
+  if (keep) b.copy(send_buf(vec_mod(root, P)), recv_buf(full()));
+}
+
+// ---- reduce_scatter_block / scan -------------------------------------------
+
+/// Ring reduce-scatter over P input vectors: step k sends partial vector
+/// r-k-1 and receives partial r-k-2 into its own slot, folds in this rank's
+/// input for it, and forwards it next step; the last step's partial is
+/// this rank's finished vector. In place, the input is the P-vector
+/// recvbuf and the result lands in its vector 0.
+void build_reduce_scatter_ring(Builder& b) {
+  const int P = b.size(), r = b.rank();
+  const bool inp = b.in_place();
+  const auto n = static_cast<std::uint32_t>(P);
+  b.spans(inp ? 0 : n, inp ? n : 1);
+  const auto in = [&](long i) {
+    return inp ? recv_buf(vec_mod(i, P)) : send_buf(vec_mod(i, P));
+  };
+  if (P == 1) {
+    if (!inp) b.copy(in(0), recv_buf(full()));
+    return;
+  }
+  const int next = (r + 1) % P, prev = (r + P - 1) % P;
+  b.send(in(r - 1), next);
+  Ref part;
+  for (int k = 0; k < P - 1; ++k) {
+    part = scratch_ref(b.scratch(full()), full());
+    b.recv(part, prev);
+    b.reduce(in(r - k - 2), part);
+    if (k < P - 2) b.send(part, next);
+  }
+  b.copy(part, recv_buf(vec(0)));
+}
+
+/// Linear-chain inclusive scan: receive the prefix of ranks < r, fold it
+/// into this rank's contribution, pass the result on.
+void build_scan_chain(Builder& b) {
+  const int P = b.size(), r = b.rank();
+  const Ref acc = emit_acc_setup(b);
+  if (r > 0) {
+    const Ref pre = scratch_ref(b.scratch(full()), full());
+    b.recv(pre, r - 1);
+    b.reduce(pre, acc);
+  }
+  if (r < P - 1) b.send(acc, r + 1);
+}
+
+/// Linear-chain exclusive scan: the received prefix is this rank's result
+/// (rank 0's recvbuf is left untouched); the forwarded value folds in this
+/// rank's contribution.
+void build_exscan_chain(Builder& b) {
+  const int P = b.size(), r = b.rank();
+  const Ref in = b.in_place() ? recv_buf(full()) : send_buf(full());
+  const Ref out = recv_buf(full());
+  if (r == P - 1) {
+    if (r > 0) b.recv(out, r - 1);
+    return;
+  }
+  const Ref fwd = scratch_ref(b.scratch(full()), full());
+  b.copy(in, fwd);
+  if (r > 0) {
+    b.recv(out, r - 1);
+    b.reduce(out, fwd);
+  }
+  b.send(fwd, r + 1);
+}
+
 // ---- selection -------------------------------------------------------------
 
 /// Tree radix for knomial bcast/reduce: depth shrinks with k but a parent
@@ -315,16 +464,45 @@ Algo env_algo() {
   return a;
 }
 
+/// The one algorithm of each kind the cost model does not choose for
+/// (auto_ for allreduce and bcast, which it does).
+Algo fixed_algo(CollKind kind) {
+  switch (kind) {
+    case CollKind::allreduce:
+    case CollKind::bcast:
+      return Algo::auto_;
+    case CollKind::reduce:
+      return Algo::knomial;
+    case CollKind::barrier:
+      return Algo::dissemination;
+    case CollKind::allgather:
+    case CollKind::allgatherv:
+    case CollKind::reduce_scatter_block:
+      return Algo::ring;
+    case CollKind::scan:
+    case CollKind::exscan:
+      return Algo::chain;
+    case CollKind::alltoall:
+    case CollKind::gather:
+    case CollKind::scatter:
+    case CollKind::gatherv:
+    case CollKind::scatterv:
+    case CollKind::neighbor_allgather:
+    case CollKind::neighbor_alltoall:
+      return Algo::linear;
+  }
+  return Algo::auto_;
+}
+
 bool algo_valid_for(CollKind kind, Algo a) {
   switch (kind) {
     case CollKind::allreduce:
       return a == Algo::rd || a == Algo::ring || a == Algo::rsag;
     case CollKind::bcast:
       return a == Algo::knomial || a == Algo::scatter_ag;
-    case CollKind::reduce:
-      return a == Algo::knomial;
+    default:
+      return a == fixed_algo(kind);
   }
-  return false;
 }
 
 }  // namespace
@@ -365,10 +543,9 @@ Algo select_algo(CollKind kind, std::size_t bytes, int size,
                            (P - 1) * a + B * be * (P - 1) / P;  // ring AG
       return c_kno <= c_sag ? Algo::knomial : Algo::scatter_ag;
     }
-    case CollKind::reduce:
-      return Algo::knomial;
+    default:
+      return fixed_algo(kind);
   }
-  return Algo::rd;
 }
 
 // ---- count classes ---------------------------------------------------------
@@ -406,19 +583,38 @@ Algo resolve_algo(CollKind kind, std::size_t bytes, int size,
   return select_algo(kind, bytes, size, net);
 }
 
+bool class_free(CollKind kind) {
+  return kind == CollKind::allgather || kind == CollKind::alltoall ||
+         kind == CollKind::gather || kind == CollKind::scatter;
+}
+
 SchedPtr compile(CollKind kind, std::size_t count, dtype::Datatype dt,
                  dtype::ReduceOp op, bool in_place, int root, int rank,
                  int size, const net::CostModel& net, Algo force) {
-  expects(dt.valid() && dt.is_contiguous(),
-          "ir::compile: requires a contiguous datatype");
+  expects(dt.valid(), "ir::compile: invalid datatype");
   expects(root >= 0 && root < size, "ir::compile: root out of range");
+  expects(kind < CollKind::gatherv,
+          "ir::compile: v-variants and neighborhood collectives have their "
+          "own compile entry points");
   const std::size_t esz = dt.size();
   const int cls = count_class(count * esz);
+  // Class-free schedules hold no scratch, so one serves every count.
   const std::size_t max_count =
-      esz == 0 ? count : std::max(count, class_max_bytes(cls) / esz);
+      class_free(kind) || esz == 0
+          ? kAnyCount
+          : std::max(count, class_max_bytes(cls) / esz);
   const Algo algo =
       resolve_algo(kind, class_max_bytes(cls), size, net, force);
-  Builder b(kind, std::move(dt), op, in_place, rank, size);
+  // Scatter's in-place flag is the root's recvbuf (its sendbuf is real).
+  const bool builder_inp = kind == CollKind::scatter ? false : in_place;
+  Builder b(kind, std::move(dt), op, builder_inp, rank, size);
+  // Radix evaluated at the class bound, like algorithm selection: every
+  // count in the class shares one tree shape, so a schedule cached at one
+  // count serves the whole class consistently on every rank.
+  const auto radix = [&] {
+    return knomial_radix(size, static_cast<double>(class_max_bytes(cls)),
+                         net);
+  };
   switch (kind) {
     case CollKind::allreduce:
       if (algo == Algo::ring) {
@@ -430,26 +626,169 @@ SchedPtr compile(CollKind kind, std::size_t count, dtype::Datatype dt,
       }
       break;
     case CollKind::bcast:
-      // Radix evaluated at the class bound, like algorithm selection: every
-      // count in the class shares one tree shape, so a schedule cached at
-      // one count serves the whole class consistently on every rank.
       if (algo == Algo::scatter_ag) {
         build_bcast_scatter_ag(b, root);
       } else {
-        build_bcast_knomial(
-            b, root,
-            knomial_radix(size, static_cast<double>(class_max_bytes(cls)),
-                          net));
+        build_bcast_knomial(b, root, radix());
       }
       break;
     case CollKind::reduce:
-      build_reduce_knomial(
-          b, root,
-          knomial_radix(size, static_cast<double>(class_max_bytes(cls)),
-                        net));
+      build_reduce_knomial(b, root, radix());
+      break;
+    case CollKind::barrier:
+      build_barrier(b);
+      break;
+    case CollKind::allgather:
+      build_allgather_ring(b);
+      break;
+    case CollKind::alltoall:
+      build_alltoall(b);
+      break;
+    case CollKind::gather:
+      build_gather(b, root);
+      break;
+    case CollKind::scatter:
+      build_scatter(b, root, !in_place);
+      break;
+    case CollKind::reduce_scatter_block:
+      build_reduce_scatter_ring(b);
+      break;
+    case CollKind::scan:
+      build_scan_chain(b);
+      break;
+    case CollKind::exscan:
+      build_exscan_chain(b);
+      break;
+    default:
       break;
   }
   return b.finish(algo, root, max_count);
+}
+
+namespace {
+
+std::uint32_t elem_index(std::size_t n) {
+  expects(n <= std::numeric_limits<std::uint32_t>::max(),
+          "ir: v-variant displacement beyond 2^32 elements");
+  return static_cast<std::uint32_t>(n);
+}
+
+/// Elements [d, d + n) of a buffer addressed in single elements.
+Part elems_at(std::size_t d, std::size_t n) {
+  return vecs(elem_index(d), elem_index(d + n));
+}
+
+}  // namespace
+
+SchedPtr compile_v(CollKind kind, std::span<const std::size_t> counts,
+                   std::span<const std::size_t> displs, std::size_t own,
+                   dtype::Datatype dt, bool in_place, int root, int rank,
+                   int size) {
+  expects(kind == CollKind::gatherv || kind == CollKind::scatterv ||
+              kind == CollKind::allgatherv,
+          "ir::compile_v: not a v-variant");
+  expects(root >= 0 && root < size, "ir::compile_v: root out of range");
+  const bool all = kind == CollKind::allgatherv || rank == root;
+  expects(!all || (counts.size() == static_cast<std::size_t>(size) &&
+                   displs.size() == counts.size()),
+          "ir::compile_v: counts/displs must have one entry per rank");
+  std::size_t span = 0;  // elements the per-rank layout covers
+  for (std::size_t i = 0; all && i < counts.size(); ++i) {
+    span = std::max(span, displs[i] + counts[i]);
+  }
+  const auto at = [&](int i) {
+    const auto u = static_cast<std::size_t>(i);
+    return elems_at(displs[u], counts[u]);
+  };
+  const auto has = [&](int i) {
+    return counts[static_cast<std::size_t>(i)] != 0;
+  };
+  const bool inp = in_place && kind != CollKind::scatterv;
+  Builder b(kind, std::move(dt), dtype::ReduceOp::sum, inp, rank, size);
+  const int P = size, r = rank;
+  switch (kind) {
+    case CollKind::gatherv:
+      if (r != root) {
+        b.spans(elem_index(own), 0);
+        if (own != 0) b.send(send_buf(elems_at(0, own)), root);
+        break;
+      }
+      b.spans(inp ? 0 : elem_index(own), elem_index(span));
+      for (int i = 0; i < P; ++i) {
+        if (i != root && has(i)) b.recv(recv_buf(at(i)), i);
+      }
+      if (!inp && own != 0) {
+        b.copy(send_buf(elems_at(0, own)),
+               recv_buf(elems_at(displs[static_cast<std::size_t>(r)], own)));
+      }
+      break;
+    case CollKind::scatterv:
+      if (r != root) {
+        b.spans(0, elem_index(own));
+        if (own != 0) b.recv(recv_buf(elems_at(0, own)), root);
+        break;
+      }
+      b.spans(elem_index(span), in_place ? 0 : elem_index(counts[r]));
+      for (int i = 0; i < P; ++i) {
+        if (i != root && has(i)) b.send(send_buf(at(i)), i);
+      }
+      if (!in_place && has(r)) {
+        b.copy(send_buf(at(r)), recv_buf(elems_at(0, counts[r])));
+      }
+      break;
+    default: {  // allgatherv: ring with per-rank block sizes
+      b.spans(inp ? 0 : elem_index(own), elem_index(span));
+      if (!inp && own != 0) {
+        b.copy(send_buf(elems_at(0, own)),
+               recv_buf(elems_at(displs[static_cast<std::size_t>(r)], own)));
+      }
+      const int next = (r + 1) % P, prev = (r + P - 1) % P;
+      for (int k = 0; k < P - 1; ++k) {
+        const int sb = (r - k + P) % P, rb = (r - k - 1 + P) % P;
+        if (has(sb)) {
+          b.send(k == 0 && !inp ? send_buf(elems_at(0, own))
+                                : recv_buf(at(sb)),
+                 next);
+        }
+        if (has(rb)) b.recv(recv_buf(at(rb)), prev);
+      }
+      break;
+    }
+  }
+  return b.finish(fixed_algo(kind), root, 1);
+}
+
+SchedPtr compile_neighbor(CollKind kind, std::size_t count,
+                          dtype::Datatype dt, std::span<const int> nbrs,
+                          int rank, int size) {
+  expects(kind == CollKind::neighbor_allgather ||
+              kind == CollKind::neighbor_alltoall,
+          "ir::compile_neighbor: not a neighborhood collective");
+  const bool a2a = kind == CollKind::neighbor_alltoall;
+  const auto n = static_cast<std::uint32_t>(nbrs.size());
+  Builder b(kind, std::move(dt), dtype::ReduceOp::sum, false, rank, size);
+  b.spans(a2a ? n : 1, n);
+  const auto src = [&](std::uint32_t j) {
+    return send_buf(a2a ? vec(j) : full());
+  };
+  // A message leaving through slot j arrives in the receiver's slot j^1
+  // (its edge in the opposite direction).
+  for (std::uint32_t j = 0; j < n; ++j) {
+    if (nbrs[j] == rank) {
+      b.copy(src(j), recv_buf(vec(j ^ 1)));
+    } else if (nbrs[j] >= 0) {
+      b.send(src(j), nbrs[j]);
+    }
+  }
+  // Tags number each (peer, direction) sequence in emission order, and a
+  // peer sends in its own slot order; its slot j lands in our slot j^1, so
+  // receive in that order — degenerate grids (a size-2 periodic ring) list
+  // one peer in several slots.
+  for (std::uint32_t j = 0; j < n; ++j) {
+    const int q = nbrs[j ^ 1];
+    if (q >= 0 && q != rank) b.recv(recv_buf(vec(j ^ 1)), q);
+  }
+  return b.finish(Algo::linear, 0, count);
 }
 
 }  // namespace mpx::coll::ir

@@ -30,6 +30,7 @@
 #include "mpx/base/pool.hpp"
 #include "mpx/core/progress_source.hpp"
 #include "mpx/core/world.hpp"
+#include "mpx/dtype/segment.hpp"
 #include "mpx/mc/mc.hpp"
 #include "mpx/mc/sync.hpp"
 
@@ -194,17 +195,19 @@ void destroy_cursor(ExecCursor* c) {
 
 // ---- node execution --------------------------------------------------------
 
-/// Resolve an operand against the armed buffers. Scratch refs index within
-/// their slot's arena window; user-space refs index the user buffers.
+/// Resolve an operand against the armed buffers. User-space refs step by
+/// the datatype's extent (element i of a derived type starts i extents
+/// in); scratch holds contiguous elements only, where extent == size.
 std::byte* ref_ptr(const ExecCursor& c, const Ref& r) {
-  const std::size_t esz = c.sched->dt.size();
+  const std::ptrdiff_t off =
+      static_cast<std::ptrdiff_t>(r.r.lo(c.count)) * c.sched->dt.extent();
   switch (r.space) {
     case Space::send:
-      return const_cast<std::byte*>(c.sbuf) + r.r.lo(c.count) * esz;
+      return const_cast<std::byte*>(c.sbuf) + off;
     case Space::recv:
-      return c.rbuf + r.r.lo(c.count) * esz;
+      return c.rbuf + off;
     case Space::scratch:
-      return c.arena + c.slot_off[r.slot] + r.r.lo(c.count) * esz;
+      return c.arena + c.slot_off[r.slot] + off;
     case Space::none:
       break;
   }
@@ -212,13 +215,27 @@ std::byte* ref_ptr(const ExecCursor& c, const Ref& r) {
   return nullptr;
 }
 
+/// Local copy of `n` elements of `dt`: one memcpy when contiguous, else a
+/// pack into a pooled staging buffer and an unpack out of it.
+void copy_elems(const std::byte* src, std::byte* dst, std::size_t n,
+                const dtype::Datatype& dt) {
+  const std::size_t bytes = n * dt.size();
+  if (bytes == 0) return;
+  if (dt.is_contiguous()) {
+    std::memcpy(dst, src, bytes);
+    return;
+  }
+  base::Buffer stage = base::pooled_buffer(bytes);
+  dtype::pack_all(src, n, dt, stage.span());
+  dtype::unpack_all(stage.span(), dst, n, dt);
+}
+
 /// Post one send/recv node on the cursor's comm.
 ///
 /// This runs inside the progress engine, on the VCI whose lock the engine
 /// already holds; isend/irecv re-acquire that same lock recursively — the
-/// sanctioned re-entry the VCI mutex is recursive for, identical to
-/// Sched::issue_round firing from the coll-hook stage.
-// mpxlint: allow(progress-contract) posting re-enters the held recursive VCI lock, like Sched::issue_round
+/// sanctioned re-entry the VCI mutex is recursive for.
+// mpxlint: allow(progress-contract) posting re-enters the held recursive VCI lock
 void post_node(ExecCursor& c, std::uint32_t nid) {
   const Schedule& s = *c.sched;
   const Node& nd = s.nodes[nid];
@@ -237,11 +254,10 @@ void exec_local(ExecCursor& c, const Node& nd) {
   const Schedule& s = *c.sched;
   const std::size_t esz = s.dt.size();
   switch (nd.kind) {
-    case NodeKind::copy: {
-      const std::size_t bytes = nd.b.r.elems(c.count) * esz;
-      if (bytes != 0) std::memcpy(ref_ptr(c, nd.b), ref_ptr(c, nd.a), bytes);
+    case NodeKind::copy:
+      copy_elems(ref_ptr(c, nd.a), ref_ptr(c, nd.b), nd.b.r.elems(c.count),
+                 s.dt);
       break;
-    }
     case NodeKind::reduce: {
       const std::size_t elems = nd.b.r.elems(c.count);
       if (elems != 0) {

@@ -1,7 +1,7 @@
 // Cache front end of the collective schedule compiler: the per-comm
-// SchedCache lives in the communicator's extension slot, and the public
-// iallreduce/ibcast/ireduce entry points resolve (algorithm, count class)
-// to a key, fetch-or-compile the schedule, and hand it to the executor.
+// SchedCache lives in the communicator's extension slot, and every
+// collective call resolves (algorithm, count class) to a key,
+// fetch-or-compiles the schedule, and hands it to the executor.
 // Steady state is find() -> launch(): one acquire load, a short scan, and
 // pooled cursor arming — no planning, no allocation.
 #include <memory>
@@ -38,8 +38,12 @@ void verify_before_insert(CollKind kind, std::size_t count,
       ranks[static_cast<std::size_t>(r)] = mine;
       continue;
     }
-    // Reduce is in-place only at the root; every other shape is uniform.
-    const bool inp_r = kind == CollKind::reduce ? (r == root && inp) : inp;
+    // Reduce, gather and scatter are in place at the root alone; every
+    // other shape is uniform.
+    const bool root_only = kind == CollKind::reduce ||
+                           kind == CollKind::gather ||
+                           kind == CollKind::scatter;
+    const bool inp_r = root_only ? (r == root && inp) : inp;
     ranks[static_cast<std::size_t>(r)] =
         compile(kind, count, dt, op, inp_r, root, r, size, net, algo);
   }
@@ -57,11 +61,20 @@ void verify_before_insert(CollKind kind, std::size_t count,
   if (!rep.ok()) throw verify::ScheduleVerifyError(std::move(rep));
 }
 
-SchedPtr get_or_compile(CollKind kind, std::size_t count, dtype::Datatype dt,
-                        dtype::ReduceOp op, bool inp, int root,
-                        const Comm& comm, const Opts& opts) {
+SchedPtr get_or_compile(CollKind kind, std::size_t count,
+                        const dtype::Datatype& dt, dtype::ReduceOp op,
+                        bool inp, int root, const Comm& comm, Opts opts) {
   const std::size_t bytes = count * dt.size();
   const net::CostModel& net = comm.world().config().net;
+  if (!dt.is_contiguous()) {
+    // Two noncontiguous types of one size and leaf differ in strides the
+    // key cannot see. Their bcast takes the tree: scattering blocks of a
+    // few large elements degenerates into empty messages.
+    opts.use_cache = false;
+    if (kind == CollKind::bcast && opts.algo == Algo::auto_) {
+      opts.algo = Algo::knomial;
+    }
+  }
   const Algo algo = resolve_algo(kind, bytes, comm.size(), net, opts.algo);
   if (!opts.use_cache) {
     return compile(kind, count, dt, op, inp, root, comm.rank(), comm.size(),
@@ -74,13 +87,14 @@ SchedPtr get_or_compile(CollKind kind, std::size_t count, dtype::Datatype dt,
   k.leaf = dt.leaf();
   k.esz = static_cast<std::uint32_t>(dt.size());
   k.op = op;
-  k.cls = static_cast<std::uint8_t>(count_class(bytes));
+  k.cls = class_free(kind) ? 0
+                           : static_cast<std::uint8_t>(count_class(bytes));
   k.in_place = inp;
   k.root = root;
   k.rank = comm.rank();
   // Any schedule cached under this key admits `count`: schedules are
-  // compiled for their class's byte bound, and count_class(bytes) == k.cls
-  // implies count <= max_count.
+  // compiled for their class's byte bound (class-free ones for every
+  // count), and count_class(bytes) == k.cls implies count <= max_count.
   if (SchedPtr s = ext.cache.find(k)) return s;
   SchedPtr s = compile(kind, count, dt, op, inp, root, comm.rank(),
                        comm.size(), net, algo);
@@ -106,11 +120,24 @@ bool eligible(const dtype::Datatype& dt) {
   return dt.valid() && dt.is_contiguous() && dt.size() > 0;
 }
 
+Request run(CollKind kind, const void* sendbuf, void* recvbuf,
+            std::size_t count, const dtype::Datatype& dt, dtype::ReduceOp op,
+            bool inp, int root, const Comm& comm, Opts opts,
+            bool persistent) {
+  expects(comm.valid() && dt.valid(), "coll: invalid communicator or type");
+  expects(root >= 0 && root < comm.size(), "coll: root out of range");
+  SchedPtr s = get_or_compile(kind, count, dt, op, inp, root, comm, opts);
+  if (persistent) {
+    return persistent_launch(std::move(s), sendbuf, recvbuf, count, comm);
+  }
+  return launch(std::move(s), sendbuf, recvbuf, count, comm);
+}
+
 CacheStats cache_stats(const Comm& comm) {
   expects(comm.valid(), "coll ir cache_stats: invalid communicator");
   CacheStats out;
   auto* e = static_cast<CollCommExt*>(core_detail::comm_ext(comm));
-  if (e == nullptr) return out;  // comm never used the compiled path
+  if (e == nullptr) return out;  // comm never ran a collective
   out.hits = e->cache.hits();
   out.misses = e->cache.misses();
   out.rejects = e->cache.rejects();
@@ -126,60 +153,47 @@ CacheStats cache_stats(const Comm& comm) {
 Request iallreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                    dtype::Datatype dt, dtype::ReduceOp op, const Comm& comm,
                    Opts opts) {
-  expects(comm.valid() && recvbuf != nullptr,
-          "coll ir iallreduce: bad arguments");
-  expects(eligible(dt), "coll ir iallreduce: datatype not compilable");
+  expects(eligible(dt), "coll iallreduce: reductions need a contiguous type");
   const bool inp = sendbuf == coll::in_place;
-  expects(inp || sendbuf != nullptr, "coll ir iallreduce: null sendbuf");
-  SchedPtr s = get_or_compile(CollKind::allreduce, count, std::move(dt), op,
-                              inp, /*root=*/0, comm, opts);
-  return launch(std::move(s), inp ? nullptr : sendbuf, recvbuf, count, comm);
+  need(recvbuf, count, "coll iallreduce: null recvbuf");
+  need(inp ? recvbuf : sendbuf, count, "coll iallreduce: null sendbuf");
+  return run(CollKind::allreduce, inp ? nullptr : sendbuf, recvbuf, count, dt,
+             op, inp, /*root=*/0, comm, opts);
 }
 
 Request ibcast(void* buf, std::size_t count, dtype::Datatype dt, int root,
                const Comm& comm, Opts opts) {
-  expects(comm.valid() && buf != nullptr && root >= 0 && root < comm.size(),
-          "coll ir ibcast: bad arguments");
-  expects(eligible(dt), "coll ir ibcast: datatype not compilable");
+  need(buf, count, "coll ibcast: null buffer");
   // Bcast data lives in the recv space; there is no send buffer.
-  SchedPtr s = get_or_compile(CollKind::bcast, count, std::move(dt),
-                              dtype::ReduceOp::sum, /*inp=*/true, root, comm,
-                              opts);
-  return launch(std::move(s), nullptr, buf, count, comm);
+  return run(CollKind::bcast, nullptr, buf, count, dt, dtype::ReduceOp::sum,
+             /*inp=*/true, root, comm, opts);
 }
 
 Request ireduce(const void* sendbuf, void* recvbuf, std::size_t count,
                 dtype::Datatype dt, dtype::ReduceOp op, int root,
                 const Comm& comm, Opts opts) {
-  expects(comm.valid() && root >= 0 && root < comm.size(),
-          "coll ir ireduce: bad arguments");
-  expects(eligible(dt), "coll ir ireduce: datatype not compilable");
+  expects(eligible(dt), "coll ireduce: reductions need a contiguous type");
   const bool inp = sendbuf == coll::in_place;
   // MPI semantics: in-place only at the root (the contribution is in
   // recvbuf there); non-roots contribute sendbuf and may pass a null
   // recvbuf.
-  expects(!inp || comm.rank() == root,
-          "coll ir ireduce: in_place is root-only");
-  expects(inp || sendbuf != nullptr, "coll ir ireduce: null sendbuf");
-  expects(comm.rank() != root || recvbuf != nullptr,
-          "coll ir ireduce: null recvbuf at root");
-  SchedPtr s = get_or_compile(CollKind::reduce, count, std::move(dt), op,
-                              inp, root, comm, opts);
-  return launch(std::move(s), inp ? nullptr : sendbuf, recvbuf, count, comm);
+  expects(!inp || comm.rank() == root, "coll ireduce: in_place is root-only");
+  need(inp ? recvbuf : sendbuf, count, "coll ireduce: null sendbuf");
+  if (comm.rank() == root) need(recvbuf, count, "coll ireduce: null recvbuf");
+  return run(CollKind::reduce, inp ? nullptr : sendbuf, recvbuf, count, dt,
+             op, inp, root, comm, opts);
 }
 
 Request allreduce_init(const void* sendbuf, void* recvbuf, std::size_t count,
                        dtype::Datatype dt, dtype::ReduceOp op,
                        const Comm& comm, Opts opts) {
-  expects(comm.valid() && recvbuf != nullptr,
-          "coll ir allreduce_init: bad arguments");
-  expects(eligible(dt), "coll ir allreduce_init: datatype not compilable");
+  expects(eligible(dt),
+          "coll allreduce_init: reductions need a contiguous type");
   const bool inp = sendbuf == coll::in_place;
-  expects(inp || sendbuf != nullptr, "coll ir allreduce_init: null sendbuf");
-  SchedPtr s = get_or_compile(CollKind::allreduce, count, std::move(dt), op,
-                              inp, /*root=*/0, comm, opts);
-  return persistent_launch(std::move(s), inp ? nullptr : sendbuf, recvbuf,
-                           count, comm);
+  need(recvbuf, count, "coll allreduce_init: null recvbuf");
+  need(inp ? recvbuf : sendbuf, count, "coll allreduce_init: null sendbuf");
+  return run(CollKind::allreduce, inp ? nullptr : sendbuf, recvbuf, count,
+             dt, op, inp, /*root=*/0, comm, opts, /*persistent=*/true);
 }
 
 }  // namespace mpx::coll::ir

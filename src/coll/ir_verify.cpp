@@ -199,8 +199,10 @@ void check_operand(const Schedule& s, std::uint32_t id, const Ref& r,
     }
     return;
   }
-  if (r.r.b1 > r.r.div) {
-    diag(rep, Check::structure, where + "ref outside the vector",
+  const std::uint32_t vecs = r.space == Space::send ? s.send_vecs
+                                                     : s.recv_vecs;
+  if (r.r.b1 > static_cast<std::uint64_t>(vecs) * r.r.div) {
+    diag(rep, Check::structure, where + "ref outside the buffer",
          {step(s, id, true)});
   }
   if (r.space == Space::send && (s.in_place || is_dest)) {
@@ -286,11 +288,11 @@ bool check_structure(const Schedule& s, Report& rep) {
       case NodeKind::copy:
         check_operand(s, id, nd.a, false, rep);
         check_operand(s, id, nd.b, true, rep);
-        // Equal Parts guarantee equal resolved lengths at every count.
-        if (!(nd.a.r == nd.b.r)) {
+        // Equal widths guarantee equal resolved lengths at every count.
+        if (!same_width(nd.a.r, nd.b.r)) {
           diag(rep, Check::structure,
                rk(s) + "node " + std::to_string(id) +
-                   ": operand Parts differ (resolved lengths can diverge)",
+                   ": operand widths differ (resolved lengths can diverge)",
                {step(s, id, true)});
         }
         break;
@@ -672,6 +674,8 @@ std::shared_ptr<Schedule> clone(const Schedule& s) {
   c->rank = s.rank;
   c->size = s.size;
   c->max_count = s.max_count;
+  c->send_vecs = s.send_vecs;
+  c->recv_vecs = s.recv_vecs;
   c->nodes = s.nodes;
   c->succ = s.succ;
   c->succ_off = s.succ_off;

@@ -1,9 +1,8 @@
 #include "mpx/coll/topo.hpp"
 
 #include <algorithm>
-#include <cstring>
-#include <memory>
 
+#include "mpx/coll/ir.hpp"
 #include "mpx/core/waittest.hpp"
 
 namespace mpx::coll {
@@ -106,27 +105,12 @@ namespace {
 
 Request neighbor_exchange(const void* sendbuf, std::size_t count,
                           const dtype::Datatype& dt, void* recvbuf,
-                          const Cart& cart, bool alltoall) {
+                          const Cart& cart, ir::CollKind kind) {
   expects(cart.valid(), "neighbor collective: invalid topology");
-  auto s = std::make_unique<Sched>(cart.comm());
-  const std::vector<int> nbrs = cart.neighbors();
-  const std::size_t block = count * dt.size();
-  const auto* in = static_cast<const std::byte*>(sendbuf);
-  auto* out = static_cast<std::byte*>(recvbuf);
-
-  // Per-edge tag offsets: in degenerate grids (a periodic dimension of
-  // size <= 2) the same peer serves several direction slots, so matching by
-  // (peer, tag) alone would cross the edges. A message sent via slot j
-  // travels the edge the RECEIVER sees as slot j^1 (negative <-> positive),
-  // so sends are tagged with their own slot and receives with the peer's.
-  for (std::size_t j = 0; j < nbrs.size(); ++j) {
-    const int nbr = nbrs[j];
-    if (nbr < 0) continue;  // MPI_PROC_NULL: skip, leave the slot untouched
-    const std::byte* src = alltoall ? in + j * block : in;
-    s->add_isend(src, count, dt, nbr, static_cast<int>(j));
-    s->add_irecv(out + j * block, count, dt, nbr, static_cast<int>(j ^ 1));
-  }
-  return Sched::commit(std::move(s));
+  const Comm& c = cart.comm();
+  return ir::launch(ir::compile_neighbor(kind, count, dt, cart.neighbors(),
+                                         c.rank(), c.size()),
+                    sendbuf, recvbuf, count, c);
 }
 
 }  // namespace
@@ -134,7 +118,8 @@ Request neighbor_exchange(const void* sendbuf, std::size_t count,
 Request ineighbor_allgather(const void* sendbuf, std::size_t count,
                             dtype::Datatype dt, void* recvbuf,
                             const Cart& cart) {
-  return neighbor_exchange(sendbuf, count, dt, recvbuf, cart, false);
+  return neighbor_exchange(sendbuf, count, dt, recvbuf, cart,
+                           ir::CollKind::neighbor_allgather);
 }
 
 void neighbor_allgather(const void* sendbuf, std::size_t count,
@@ -147,7 +132,8 @@ void neighbor_allgather(const void* sendbuf, std::size_t count,
 Request ineighbor_alltoall(const void* sendbuf, std::size_t count,
                            dtype::Datatype dt, void* recvbuf,
                            const Cart& cart) {
-  return neighbor_exchange(sendbuf, count, dt, recvbuf, cart, true);
+  return neighbor_exchange(sendbuf, count, dt, recvbuf, cart,
+                           ir::CollKind::neighbor_alltoall);
 }
 
 void neighbor_alltoall(const void* sendbuf, std::size_t count,

@@ -258,8 +258,8 @@ int Comm::next_coll_tag() const {
   }
   int& slot = impl_->coll_seq[static_cast<std::size_t>(my_rank_)];
   const int tag = slot;
-  // Each collective instance owns a 64-tag range so schedules can offset
-  // tags for multiple same-peer ops within one round (see Sched).
+  // Each collective instance owns a 64-tag range so a schedule can tag
+  // several messages to one peer apart (see coll::ir::Builder).
   slot = (slot + 64) & 0x3FFFFFFF;
   return tag;
 }

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <sstream>
 #include <vector>
 
 #include "mpx/coll/coll.hpp"
+#include "mpx/coll/ir.hpp"
 #include "mpx/coll/user_allreduce.hpp"
 #include "test_util.hpp"
 
@@ -166,9 +168,10 @@ INSTANTIATE_TEST_SUITE_P(
                       CollParam{6, 2, 100}),
     [](const ::testing::TestParamInfo<CollParam>& info) {
       const auto& p = info.param;
-      return "n" + std::to_string(p.nranks) + "_rpn" +
-             std::to_string(p.ranks_per_node) + "_c" +
-             std::to_string(p.count);
+      std::ostringstream name;
+      name << "n" << p.nranks << "_rpn" << p.ranks_per_node << "_c"
+           << p.count;
+      return name.str();
     });
 
 TEST(CollRing, RingAllreduceMatchesRecursiveDoubling) {
@@ -182,11 +185,14 @@ TEST(CollRing, RingAllreduceMatchesRecursiveDoubling) {
     for (std::size_t i = 0; i < count; ++i) {
       in[i] = static_cast<double>(i) * (rank + 1);
     }
-    coll::allreduce(in.data(), rd.data(), count, dtype::Datatype::float64(),
-                    dtype::ReduceOp::sum, c);
-    Request r = coll::iallreduce_ring(in.data(), ring.data(), count,
-                                      dtype::Datatype::float64(),
-                                      dtype::ReduceOp::sum, c);
+    Request r = coll::ir::iallreduce(in.data(), rd.data(), count,
+                                     dtype::Datatype::float64(),
+                                     dtype::ReduceOp::sum, c,
+                                     {.algo = coll::ir::Algo::rd});
+    wait_on_stream(r, c.stream());
+    r = coll::ir::iallreduce(in.data(), ring.data(), count,
+                             dtype::Datatype::float64(), dtype::ReduceOp::sum,
+                             c, {.algo = coll::ir::Algo::ring});
     wait_on_stream(r, c.stream());
     for (std::size_t i = 0; i < count; ++i) {
       ASSERT_DOUBLE_EQ(ring[i], rd[i]);

@@ -1,11 +1,13 @@
 // Extended collective coverage: exscan, v-variants, stream-comm
-// collectives, and concurrent collectives across communicators.
+// collectives, concurrent collectives across communicators, zero-count
+// calls of every kind, and derived (strided) datatypes.
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <vector>
 
 #include "mpx/coll/coll.hpp"
+#include "mpx/coll/topo.hpp"
 #include "test_util.hpp"
 
 using namespace mpx;
@@ -144,12 +146,178 @@ TEST(CollEdge, SingleRankCollectivesAreLocal) {
 }
 
 TEST(CollEdge, ZeroCountCollectives) {
+  // Every kind with a zero count and null buffers: the schedules still run
+  // (zero-byte messages keep the ranks in step) and touch no memory.
   auto w = World::create(WorldConfig{.nranks = 3});
   mpx_test::run_ranks(*w, [&](int rank) {
     Comm c = w->comm_world(rank);
-    coll::allreduce(nullptr, nullptr, 0, dtype::Datatype::int32(),
-                    dtype::ReduceOp::sum, c);
-    coll::bcast(nullptr, 0, dtype::Datatype::int32(), 1, c);
+    const auto i32 = dtype::Datatype::int32();
+    const auto sum = dtype::ReduceOp::sum;
+    const std::vector<std::size_t> none(3, 0);
+    coll::allreduce(nullptr, nullptr, 0, i32, sum, c);
+    coll::bcast(nullptr, 0, i32, 1, c);
+    coll::reduce(nullptr, nullptr, 0, i32, sum, 2, c);
+    coll::allgather(nullptr, 0, i32, nullptr, c);
+    coll::gather(nullptr, 0, i32, nullptr, 1, c);
+    coll::scatter(nullptr, 0, i32, nullptr, 2, c);
+    coll::alltoall(nullptr, 0, i32, nullptr, c);
+    coll::reduce_scatter_block(nullptr, nullptr, 0, i32, sum, c);
+    coll::scan(nullptr, nullptr, 0, i32, sum, c);
+    coll::exscan(nullptr, nullptr, 0, i32, sum, c);
+    coll::gatherv(nullptr, 0, i32, nullptr, none, none, 0, c);
+    coll::scatterv(nullptr, none, none, i32, nullptr, 0, 1, c);
+    coll::allgatherv(nullptr, 0, i32, nullptr, none, none, c);
+    const int dims[] = {3};
+    const int periodic[] = {1};
+    const coll::Cart cart = coll::Cart::create(c, dims, periodic);
+    coll::neighbor_allgather(nullptr, 0, i32, nullptr, cart);
+    coll::neighbor_alltoall(nullptr, 0, i32, nullptr, cart);
+    Request pb = coll::bcast_init(nullptr, 0, i32, 0, c);
+    Request pa = coll::allreduce_init(nullptr, nullptr, 0, i32, sum, c);
+    for (Request* p : {&pb, &pa}) {
+      start(*p);
+      wait_on_stream(*p, c.stream());
+    }
+    coll::barrier(c);
+    w->finalize_rank(rank);
+  });
+}
+
+// ---- derived datatypes ------------------------------------------------------
+
+namespace {
+
+/// Two int32 with a one-int gap: size 8 B, extent 12 B, so element e of a
+/// buffer starts at int 3e and int 3e+1 is a gap no collective may touch.
+dtype::Datatype strided_pair() {
+  return dtype::Datatype::vector(2, 1, 2, dtype::Datatype::int32());
+}
+constexpr std::size_t kInts = 3;  // ints per strided_pair element
+constexpr std::int32_t kGap = -1;
+
+/// `n` elements whose element e carries (tag + 2e, tag + 2e + 1).
+std::vector<std::int32_t> strided(std::size_t n, std::int32_t tag) {
+  std::vector<std::int32_t> v(n * kInts, kGap);
+  for (std::size_t e = 0; e < n; ++e) {
+    v[e * kInts] = tag + static_cast<std::int32_t>(2 * e);
+    v[e * kInts + 2] = tag + static_cast<std::int32_t>(2 * e + 1);
+  }
+  return v;
+}
+
+/// The `n` elements at element `at` of `got` carry `tag`, gaps untouched.
+void expect_strided(const std::vector<std::int32_t>& got, std::size_t at,
+                    std::size_t n, std::int32_t tag, const char* what) {
+  const std::vector<std::int32_t> want = strided(n, tag);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(got[at * kInts + i], want[i])
+        << what << ": int " << at * kInts + i;
+  }
+}
+
+std::int32_t tag_of(int src, int dst) { return 1000 * src + 100 * dst + 1; }
+
+}  // namespace
+
+TEST(CollDatatype, StridedTypeDataMovementKinds) {
+  for (const int nranks : {2, 3}) {
+    auto w = World::create(WorldConfig{.nranks = nranks});
+    mpx_test::run_ranks(*w, [&](int rank) {
+      Comm c = w->comm_world(rank);
+      const auto dt = strided_pair();
+      const std::size_t n = 2;  // elements per rank
+      const auto P = static_cast<std::size_t>(nranks);
+      const std::vector<std::int32_t> mine = strided(n, tag_of(rank, 0));
+
+      std::vector<std::int32_t> all(P * n * kInts, kGap);
+      coll::allgather(mine.data(), n, dt, all.data(), c);
+      for (int s = 0; s < nranks; ++s) {
+        expect_strided(all, static_cast<std::size_t>(s) * n, n, tag_of(s, 0),
+                       "allgather");
+      }
+
+      std::vector<std::int32_t> out(P * n * kInts, kGap);
+      for (int d = 0; d < nranks; ++d) {
+        const auto blk = strided(n, tag_of(rank, d));
+        std::copy(blk.begin(), blk.end(),
+                  out.begin() + static_cast<std::ptrdiff_t>(
+                                    static_cast<std::size_t>(d) * n * kInts));
+      }
+      std::vector<std::int32_t> a2a(P * n * kInts, kGap);
+      coll::alltoall(out.data(), n, dt, a2a.data(), c);
+      for (int s = 0; s < nranks; ++s) {
+        expect_strided(a2a, static_cast<std::size_t>(s) * n, n,
+                       tag_of(s, rank), "alltoall");
+      }
+
+      const int root = nranks - 1;
+      std::vector<std::int32_t> gathered(P * n * kInts, kGap);
+      coll::gather(mine.data(), n, dt, gathered.data(), root, c);
+      if (rank == root) {
+        for (int s = 0; s < nranks; ++s) {
+          expect_strided(gathered, static_cast<std::size_t>(s) * n, n,
+                         tag_of(s, 0), "gather");
+        }
+      }
+
+      // The root scatters block d = what rank `root` addressed to d.
+      std::vector<std::int32_t> back(n * kInts, kGap);
+      coll::scatter(out.data(), n, dt, back.data(), root, c);
+      expect_strided(back, 0, n, tag_of(root, rank), "scatter");
+
+      // allgatherv: rank r contributes r+1 elements, one gap element
+      // between blocks stays untouched.
+      std::vector<std::size_t> counts, displs;
+      std::size_t total = 0;
+      for (std::size_t r = 0; r < P; ++r) {
+        counts.push_back(r + 1);
+        displs.push_back(total);
+        total += r + 2;
+      }
+      const auto cnt = counts[static_cast<std::size_t>(rank)];
+      const std::vector<std::int32_t> vmine = strided(cnt, tag_of(rank, 7));
+      std::vector<std::int32_t> vall(total * kInts, kGap);
+      coll::allgatherv(vmine.data(), cnt, dt, vall.data(), counts, displs, c);
+      for (std::size_t s = 0; s < P; ++s) {
+        expect_strided(vall, displs[s], counts[s],
+                       tag_of(static_cast<int>(s), 7), "allgatherv");
+        for (std::size_t i = 0; i < kInts; ++i) {
+          ASSERT_EQ(vall[(displs[s] + counts[s]) * kInts + i], kGap)
+              << "allgatherv wrote the gap element after block " << s;
+        }
+      }
+      w->finalize_rank(rank);
+    });
+  }
+}
+
+TEST(CollDatatype, SameSizeDifferentStrideBcastsBackToBack) {
+  // Two vector types with one size (8 B) and leaf (int32) but different
+  // strides (extent 12 B vs 16 B): a schedule shared between them would
+  // address the second bcast with the first type's layout.
+  auto w = World::create(WorldConfig{.nranks = 3});
+  mpx_test::run_ranks(*w, [&](int rank) {
+    Comm c = w->comm_world(rank);
+    const std::size_t n = 3;
+    for (const int stride : {2, 3}) {
+      const auto dt =
+          dtype::Datatype::vector(2, 1, stride, dtype::Datatype::int32());
+      const auto ints = static_cast<std::size_t>(stride + 1);
+      std::vector<std::int32_t> buf(n * ints, kGap);
+      for (std::size_t e = 0; rank == 1 && e < n; ++e) {
+        buf[e * ints] = static_cast<std::int32_t>(10 * e + 1);
+        buf[e * ints + ints - 1] = static_cast<std::int32_t>(10 * e + 2);
+      }
+      coll::bcast(buf.data(), n, dt, 1, c);
+      for (std::size_t i = 0; i < buf.size(); ++i) {
+        const std::size_t e = i / ints, k = i % ints;
+        const std::int32_t want =
+            k == 0 ? static_cast<std::int32_t>(10 * e + 1)
+            : k == ints - 1 ? static_cast<std::int32_t>(10 * e + 2)
+                            : kGap;
+        ASSERT_EQ(buf[i], want) << "stride " << stride << " int " << i;
+      }
+    }
     w->finalize_rank(rank);
   });
 }

@@ -16,6 +16,7 @@
 #include "mpx/coll/coll.hpp"
 #include "mpx/coll/ir.hpp"
 #include "mpx/coll/ir_verify.hpp"
+#include "mpx/coll/topo.hpp"
 #include "mpx/coll/user_allreduce.hpp"
 #include "test_util.hpp"
 
@@ -31,6 +32,7 @@ std::vector<ir::SchedPtr> compile_ranks(ir::CollKind kind, ir::Algo algo,
                                         std::size_t count, int size,
                                         int root) {
   const net::CostModel net{};
+  if (kind == ir::CollKind::barrier) count = 0;  // barriers carry no data
   std::vector<ir::SchedPtr> out;
   for (int r = 0; r < size; ++r) {
     const bool inp = kind == ir::CollKind::bcast ||
@@ -67,6 +69,14 @@ TEST(CollVerify, CompiledShapesVerifyClean) {
       {ir::CollKind::bcast, ir::Algo::knomial},
       {ir::CollKind::bcast, ir::Algo::scatter_ag},
       {ir::CollKind::reduce, ir::Algo::knomial},
+      {ir::CollKind::barrier, ir::Algo::dissemination},
+      {ir::CollKind::allgather, ir::Algo::ring},
+      {ir::CollKind::alltoall, ir::Algo::linear},
+      {ir::CollKind::gather, ir::Algo::linear},
+      {ir::CollKind::scatter, ir::Algo::linear},
+      {ir::CollKind::reduce_scatter_block, ir::Algo::ring},
+      {ir::CollKind::scan, ir::Algo::chain},
+      {ir::CollKind::exscan, ir::Algo::chain},
   };
   for (const Shape& sh : shapes) {
     for (const int size : {2, 3, 5, 8, 13, 17}) {
@@ -81,6 +91,77 @@ TEST(CollVerify, CompiledShapesVerifyClean) {
         EXPECT_GT(rep.counts_probed, 0u);
         EXPECT_GT(rep.pairs, 0u);
       }
+    }
+  }
+}
+
+namespace {
+
+/// Every rank's v-variant schedule for a layout where every third rank
+/// contributes nothing and blocks sit one element apart.
+std::vector<ir::SchedPtr> compile_v_ranks(ir::CollKind kind, std::size_t n,
+                                          int size, int root) {
+  std::vector<std::size_t> counts, displs;
+  for (std::size_t r = 0, d = 0; r < static_cast<std::size_t>(size); ++r) {
+    counts.push_back(n * (r % 3));
+    displs.push_back(d + r);
+    d += counts.back();
+  }
+  std::vector<ir::SchedPtr> out;
+  for (int r = 0; r < size; ++r) {
+    out.push_back(ir::compile_v(kind, counts, displs,
+                                counts[static_cast<std::size_t>(r)],
+                                dtype::Datatype::int32(), false, root, r,
+                                size));
+  }
+  return out;
+}
+
+/// Every rank's neighborhood schedule over a real Cartesian topology.
+std::vector<ir::SchedPtr> compile_neighbor_ranks(
+    ir::CollKind kind, std::size_t count, const std::vector<int>& dims,
+    const std::vector<int>& periodic) {
+  int size = 1;
+  for (const int d : dims) size *= d;
+  auto w = World::create(WorldConfig{.nranks = size});
+  std::vector<ir::SchedPtr> out;
+  for (int r = 0; r < size; ++r) {
+    const auto nbrs =
+        coll::Cart::create(w->comm_world(r), dims, periodic).neighbors();
+    out.push_back(ir::compile_neighbor(kind, count, dtype::Datatype::int32(),
+                                       nbrs, r, size));
+  }
+  return out;
+}
+
+}  // namespace
+
+// The per-call kinds: v-variants over uneven layouts with empty blocks,
+// neighborhood collectives over open, periodic and degenerate grids (a
+// size-2 ring lists one peer twice; a periodic dimension of 1 makes every
+// rank its own neighbor).
+TEST(CollVerify, PerCallShapesVerifyClean) {
+  for (const ir::CollKind k : {ir::CollKind::gatherv, ir::CollKind::scatterv,
+                               ir::CollKind::allgatherv}) {
+    for (const int size : {2, 3, 5, 8}) {
+      const auto ranks = compile_v_ranks(k, 7, size, size - 1);
+      const verify::Report rep = verify::verify_ranks(ranks);
+      EXPECT_TRUE(rep.ok()) << ir::to_string(k) << " P=" << size << "\n"
+                            << rep.to_string();
+    }
+  }
+  struct Grid {
+    std::vector<int> dims, periodic;
+  };
+  const Grid grids[] = {{{2}, {1}}, {{5}, {0}}, {{2, 3}, {1, 1}},
+                        {{3, 1}, {0, 1}}, {{2, 2}, {1, 0}}};
+  for (const ir::CollKind k : {ir::CollKind::neighbor_allgather,
+                               ir::CollKind::neighbor_alltoall}) {
+    for (const Grid& g : grids) {
+      const auto ranks = compile_neighbor_ranks(k, 16, g.dims, g.periodic);
+      const verify::Report rep = verify::verify_ranks(ranks);
+      EXPECT_TRUE(rep.ok()) << ir::to_string(k) << " ndims=" << g.dims.size()
+                            << "\n" << rep.to_string();
     }
   }
 }
@@ -151,6 +232,55 @@ TEST(CollVerifyMutation, ReorderedReduceCaughtWithCounterexample) {
   ASSERT_FALSE(rep.ok());
   EXPECT_TRUE(has_check(rep, verify::Check::reduce_order))
       << rep.to_string();
+}
+
+// Every seeded fault with a site in one of the newly compiled kinds is
+// rejected with a counterexample trace.
+TEST(CollVerifyMutation, EveryKindsMutantsCaught) {
+  std::vector<std::pair<const char*, std::vector<ir::SchedPtr>>> points;
+  const std::pair<ir::CollKind, ir::Algo> compiled[] = {
+      {ir::CollKind::barrier, ir::Algo::dissemination},
+      {ir::CollKind::allgather, ir::Algo::ring},
+      {ir::CollKind::alltoall, ir::Algo::linear},
+      {ir::CollKind::gather, ir::Algo::linear},
+      {ir::CollKind::scatter, ir::Algo::linear},
+      {ir::CollKind::reduce_scatter_block, ir::Algo::ring},
+      {ir::CollKind::scan, ir::Algo::chain},
+      {ir::CollKind::exscan, ir::Algo::chain},
+  };
+  for (const auto& [k, a] : compiled) {
+    points.push_back({ir::to_string(k), compile_ranks(k, a, 4096, 5, 2)});
+  }
+  for (const ir::CollKind k : {ir::CollKind::gatherv, ir::CollKind::scatterv,
+                               ir::CollKind::allgatherv}) {
+    points.push_back({ir::to_string(k), compile_v_ranks(k, 64, 5, 2)});
+  }
+  for (const ir::CollKind k : {ir::CollKind::neighbor_allgather,
+                               ir::CollKind::neighbor_alltoall}) {
+    points.push_back(
+        {ir::to_string(k), compile_neighbor_ranks(k, 64, {2, 3}, {1, 0})});
+  }
+  for (const auto& [name, ranks] : points) {
+    ASSERT_TRUE(verify::verify_ranks(ranks).ok()) << name;
+    int applied = 0;
+    // Rank 2 is the root of the rooted kinds, rank 1 a non-root; between
+    // them every kind has a sender.
+    for (const std::size_t victim : {1u, 2u}) {
+      for (const char* fault :
+           {"swap_tag", "drop_edge", "truncate_part", "reorder_reduce"}) {
+        auto mut = verify::clone(*ranks[victim]);
+        if (!verify::inject_fault(*mut, fault)) continue;
+        ++applied;
+        auto mranks = ranks;
+        mranks[victim] = std::move(mut);
+        const verify::Report rep = verify::verify_ranks(mranks);
+        ASSERT_FALSE(rep.ok()) << name << " fault=" << fault;
+        EXPECT_FALSE(rep.diags[0].trace.empty())
+            << name << " fault=" << fault;
+      }
+    }
+    EXPECT_GE(applied, 2) << name;
+  }
 }
 
 TEST(CollVerifyMutation, TagWindowReuseCaughtLocally) {

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <numeric>
 #include <random>
+#include <sstream>
 #include <vector>
 
 #include "mpx/coll/coll.hpp"
@@ -108,9 +109,11 @@ INSTANTIATE_TEST_SUITE_P(
                       SoupParam{2, 1, 20}, SoupParam{4, 1, 6},
                       SoupParam{4, 2, 8}),
     [](const ::testing::TestParamInfo<SoupParam>& info) {
-      return "n" + std::to_string(info.param.nranks) + "_rpn" +
-             std::to_string(info.param.ranks_per_node) + "_m" +
-             std::to_string(info.param.messages_per_pair);
+      std::ostringstream name;
+      name << "n" << info.param.nranks << "_rpn"
+           << info.param.ranks_per_node << "_m"
+           << info.param.messages_per_pair;
+      return name.str();
     });
 
 TEST(Integration, TwoWorldsCoexist) {

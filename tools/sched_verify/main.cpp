@@ -1,9 +1,10 @@
 // sched_verify: exhaustive offline sweep of the cross-rank schedule
 // verifier (mpx::coll::ir::verify) over every compiled collective point.
 //
-// For each (kind, algo) x comm size x count class x root, compile all N
-// per-rank schedules exactly as the runtime would and run the full
-// verify_ranks battery; then, on a sample of points, apply each seeded
+// For each (kind, algo) x comm size x count class x root (x topology, for
+// the neighborhood collectives; x per-rank layout, for the v-variants),
+// compile all N per-rank schedules exactly as the runtime would and run
+// the full verify_ranks battery; then, on a sample of points, apply each seeded
 // mutation (ir_verify.hpp inject_fault) to one rank's clone and require
 // the verifier to reject it with a counterexample. A JSON report is
 // written for CI archival; the exit code is nonzero on any clean-point
@@ -17,6 +18,8 @@
 
 #include "mpx/coll/ir.hpp"
 #include "mpx/coll/ir_verify.hpp"
+#include "mpx/coll/topo.hpp"
+#include "mpx/core/world.hpp"
 #include "mpx/dtype/datatype.hpp"
 
 namespace ir = mpx::coll::ir;
@@ -27,7 +30,7 @@ namespace {
 struct Combo {
   ir::CollKind kind;
   ir::Algo algo;
-  bool rooted;  ///< sweep roots (bcast/reduce) vs root fixed at 0
+  bool rooted;  ///< sweep roots (rooted kinds) vs root fixed at 0
 };
 
 constexpr Combo kCombos[] = {
@@ -37,15 +40,29 @@ constexpr Combo kCombos[] = {
     {ir::CollKind::bcast, ir::Algo::knomial, true},
     {ir::CollKind::bcast, ir::Algo::scatter_ag, true},
     {ir::CollKind::reduce, ir::Algo::knomial, true},
+    {ir::CollKind::barrier, ir::Algo::dissemination, false},
+    {ir::CollKind::allgather, ir::Algo::ring, false},
+    {ir::CollKind::alltoall, ir::Algo::linear, false},
+    {ir::CollKind::gather, ir::Algo::linear, true},
+    {ir::CollKind::scatter, ir::Algo::linear, true},
+    {ir::CollKind::reduce_scatter_block, ir::Algo::ring, false},
+    {ir::CollKind::scan, ir::Algo::chain, false},
+    {ir::CollKind::exscan, ir::Algo::chain, false},
+    {ir::CollKind::gatherv, ir::Algo::linear, true},
+    {ir::CollKind::scatterv, ir::Algo::linear, true},
+    {ir::CollKind::allgatherv, ir::Algo::ring, false},
+    {ir::CollKind::neighbor_allgather, ir::Algo::linear, false},
+    {ir::CollKind::neighbor_alltoall, ir::Algo::linear, false},
 };
 
-const char* kind_str(ir::CollKind k) {
-  switch (k) {
-    case ir::CollKind::allreduce: return "allreduce";
-    case ir::CollKind::bcast: return "bcast";
-    case ir::CollKind::reduce: return "reduce";
-  }
-  return "?";
+bool is_v(ir::CollKind k) {
+  return k == ir::CollKind::gatherv || k == ir::CollKind::scatterv ||
+         k == ir::CollKind::allgatherv;
+}
+
+bool is_neighbor(ir::CollKind k) {
+  return k == ir::CollKind::neighbor_allgather ||
+         k == ir::CollKind::neighbor_alltoall;
 }
 
 /// Element counts spanning the count classes (int32): a few bytes to 1 MiB.
@@ -74,20 +91,63 @@ struct Failure {
   std::string detail;
 };
 
-std::vector<ir::SchedPtr> compile_ranks(const Combo& c, std::size_t count,
-                                        int size, int root) {
+/// Every rank's Cart::neighbors() for the two swept grids: a periodic
+/// ring (size 2 lists one peer twice) and a 2-D grid open in dimension 0
+/// and periodic in dimension 1 (a prime size gives a periodic dimension of
+/// 1, where each rank is its own neighbor).
+std::vector<std::vector<int>> grid_neighbors(int size, int topo) {
+  const std::vector<int> dims =
+      topo == 0 ? std::vector<int>{size} : mpx::coll::dims_create(size, 2);
+  const std::vector<int> periodic =
+      topo == 0 ? std::vector<int>{1} : std::vector<int>{0, 1};
+  auto w = mpx::World::create(mpx::WorldConfig{.nranks = size});
+  std::vector<std::vector<int>> out;
+  for (int r = 0; r < size; ++r) {
+    out.push_back(mpx::coll::Cart::create(w->comm_world(r), dims, periodic)
+                      .neighbors());
+  }
+  return out;
+}
+
+/// Compile all N per-rank schedules of one point. `variant` is the root
+/// for rooted kinds and the grid (grid_neighbors) for neighborhood ones.
+std::vector<ir::SchedPtr> compile_ranks(
+    const Combo& c, std::size_t count, int size, int variant,
+    const std::vector<std::vector<int>>& nbrs) {
   const mpx::net::CostModel net{};
   const auto dt = mpx::dtype::Datatype::int32();
+  const int root = c.rooted ? variant : 0;
+  // v-variant layout: every third rank contributes nothing (omitted
+  // messages), displacements leave a one-element gap per rank.
+  std::vector<std::size_t> counts, displs;
+  for (std::size_t r = 0, d = 0; r < static_cast<std::size_t>(size); ++r) {
+    counts.push_back(count * (r % 3) / 2);
+    displs.push_back(d + r);
+    d += counts.back();
+  }
   std::vector<ir::SchedPtr> ranks;
   ranks.reserve(static_cast<std::size_t>(size));
   for (int r = 0; r < size; ++r) {
+    if (is_v(c.kind)) {
+      ranks.push_back(ir::compile_v(c.kind, counts, displs,
+                                    counts[static_cast<std::size_t>(r)], dt,
+                                    false, root, r, size));
+      continue;
+    }
+    if (is_neighbor(c.kind)) {
+      ranks.push_back(ir::compile_neighbor(
+          c.kind, count, dt, nbrs[static_cast<std::size_t>(r)], r, size));
+      continue;
+    }
     // Match the runtime's in-place conventions: bcast has no send buffer,
-    // reduce contributes in place at the root only, allreduce out-of-place
-    // here (the send-space hazards get verified too).
-    const bool inp =
-        c.kind == ir::CollKind::bcast ||
-        (c.kind == ir::CollKind::reduce && r == root);
-    ranks.push_back(ir::compile(c.kind, count, dt, mpx::dtype::ReduceOp::sum,
+    // reduce and gather contribute in place at the root only, everything
+    // else out-of-place here (the send-space hazards get verified too).
+    const bool inp = c.kind == ir::CollKind::bcast ||
+                     ((c.kind == ir::CollKind::reduce ||
+                       c.kind == ir::CollKind::gather) &&
+                      r == root);
+    const std::size_t n = c.kind == ir::CollKind::barrier ? 0 : count;
+    ranks.push_back(ir::compile(c.kind, n, dt, mpx::dtype::ReduceOp::sum,
                                 inp, root, r, size, net, c.algo));
   }
   return ranks;
@@ -116,22 +176,27 @@ int main(int argc, char** argv) {
   for (const Combo& c : kCombos) {
     for (int size = 2; size <= max_size; ++size) {
       const int roots[] = {0, size - 1, size / 2};
-      const int nroots = c.rooted ? (size > 2 ? 3 : 2) : 1;
-      for (int ri = 0; ri < nroots; ++ri) {
-        const int root = roots[ri];
+      const int nvariants =
+          is_neighbor(c.kind) ? 2 : c.rooted ? (size > 2 ? 3 : 2) : 1;
+      for (int vi = 0; vi < nvariants; ++vi) {
+        const int variant = is_neighbor(c.kind) ? vi : roots[vi];
+        const auto nbrs = is_neighbor(c.kind)
+                              ? grid_neighbors(size, variant)
+                              : std::vector<std::vector<int>>{};
         for (const std::size_t count : kCounts) {
           const std::string point =
-              std::string(kind_str(c.kind)) + "/" + ir::to_string(c.algo) +
-              " P=" + std::to_string(size) + " root=" +
-              std::to_string(root) + " count=" + std::to_string(count);
-          const auto ranks = compile_ranks(c, count, size, root);
+              std::string(ir::to_string(c.kind)) + "/" +
+              ir::to_string(c.algo) + " P=" + std::to_string(size) +
+              (is_neighbor(c.kind) ? " grid=" : " root=") +
+              std::to_string(variant) + " count=" + std::to_string(count);
+          const auto ranks = compile_ranks(c, count, size, variant, nbrs);
           const verify::Report rep = verify::verify_ranks(ranks);
           ++points;
           if (!rep.ok()) {
             clean_failures.push_back({point, rep.to_string()});
             continue;
           }
-          // Mutation pass on one mid-size cell per (combo, size, root):
+          // Mutation pass on one mid-size cell per (combo, size, variant):
           // mutate rank (size/2)'s clone, expect rejection. Needs a count
           // class with headroom — at tiny max_count every block resolves
           // to zero elements and a truncated Part is extensionally
