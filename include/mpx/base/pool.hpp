@@ -7,31 +7,48 @@
 // cost (MPICH ships the same design: CH4 request pools and cell pools).
 //
 // Three shapes:
-//   - ObjectPool<T>      : unique_ptr-based recycler (legacy; transports).
 //   - FreelistPool<T>    : typed freelist of raw storage, NOT thread-safe;
 //                          per-VCI pools guarded by the VCI lock.
-//   - FixedBlockPool     : spinlock-guarded raw-block freelist for
-//                          class-level operator new/delete overloads whose
-//                          release site crosses threads (refcounted
-//                          requests, async hooks).
-//   - PayloadPool        : spinlock-guarded power-of-two size-class pool
-//                          behind pooled_buffer()/pooled_copy(); eager
-//                          payloads are allocated under the sender's VCI
-//                          and freed under the receiver's, so the pool is
-//                          process-wide and thread-safe.
+//   - FixedBlockPool     : process-wide raw-block pool for class-level
+//                          operator new/delete overloads whose release site
+//                          crosses threads (refcounted requests, collective
+//                          cursors, async hooks).
+//   - PayloadPool        : power-of-two size classes behind
+//                          pooled_buffer()/pooled_copy(); eager payloads are
+//                          allocated under the sender's VCI and freed under
+//                          the receiver's. Each class is a FixedBlockPool.
+//
+// MAGAZINES AND DEPOT. A process-wide pool is two layers (Bonwick's
+// magazine allocator; tcmalloc's thread caches). Each thread keeps a short
+// LIFO freelist per pool, its magazine, and serves allocate/release from it
+// with no lock and no shared cache line. The shared, spinlock-guarded
+// freelist (the depot) is touched only when a magazine runs empty (refill)
+// or full (spill), and then half a magazine at a time. A magazine holds at
+// most kMagazineBytes of blocks and at most kMagazineMaxBlocks blocks
+// (magazine_blocks()); classes whose blocks exceed the byte budget run on
+// the depot alone. The MPX_POOL_*_CAP knobs bound the depot. A thread's
+// magazines go back to the depot when it exits; a pool destroyed while
+// magazines still hold its blocks drains them.
+//
+// STATS. PoolStats stay exact: magazine counters are written only by their
+// owning thread and summed under the depot lock by stats(); an exiting
+// thread folds its counts into the depot. `depot` counts depot-lock
+// acquisitions, the per-message gate (0 in a warmed single-thread loop).
 //
 // SANITIZERS. Freelist reuse would blind AddressSanitizer to lifetime bugs
 // (a use-after-release lands in recycled, still-mapped storage), so under
 // ASan every pool degrades to plain operator new/delete per acquire —
-// stats still count, the allocator sees every lifetime. MPX_POOL_DISABLE=1
-// forces the same passthrough at runtime. TSan keeps pooling enabled: pool
-// access is lock-guarded, and racy reuse is exactly what it should see.
+// stats still count (into the magazine, without the depot lock), the
+// allocator sees every lifetime. MPX_POOL_DISABLE=1 forces the same
+// passthrough at runtime. TSan keeps pooling enabled: the depot lock is the
+// only edge between threads, and racy reuse is exactly what it should see.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <new>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,46 +75,6 @@ namespace mpx::base {
 /// allocator: compiled under ASan, or MPX_POOL_DISABLE=1 in the
 /// environment (read once).
 bool pool_passthrough();
-
-/// Recycling pool of default-constructible T. acquire() reuses a released
-/// object when available. Objects are reset by the caller.
-template <class T>
-class ObjectPool {
- public:
-  explicit ObjectPool(std::size_t reserve = 0) { free_.reserve(reserve); }
-
-  std::unique_ptr<T> acquire() {
-    if (!free_.empty()) {
-      std::unique_ptr<T> p = std::move(free_.back());
-      free_.pop_back();
-      ++live_;
-      return p;
-    }
-    ++allocated_;
-    ++live_;
-    return std::make_unique<T>();
-  }
-
-  void release(std::unique_ptr<T> p) {
-    if (p != nullptr) {
-      --live_;
-      free_.push_back(std::move(p));
-    }
-  }
-
-  /// Cumulative constructions (NOT live objects — see live()).
-  std::size_t total_allocated() const { return allocated_; }
-  /// Objects currently handed out (acquired and not yet released).
-  std::size_t live() const { return live_; }
-  /// Objects owned by the pool in total: live + parked on the freelist.
-  std::size_t capacity() const { return live_ + free_.size(); }
-  std::size_t free_count() const { return free_.size(); }
-
- private:
-  std::vector<std::unique_ptr<T>> free_;
-  std::size_t allocated_ = 0;
-  std::size_t live_ = 0;
-};
 
 /// Typed freelist pool: acquire() placement-constructs T on recycled
 /// storage, release() destroys and parks the storage (up to `max_free`
@@ -172,10 +149,32 @@ class FreelistPool {
   PoolStats st_;
 };
 
-/// Spinlock-guarded freelist of fixed-size raw blocks, for class-level
-/// operator new/delete overloads (allocation and release may happen on
-/// different threads). Intended for static-storage pools; registers itself
-/// in the process-wide pool registry under `name`.
+/// Per-thread magazine budget of a process-wide pool (or payload size
+/// class): at most this many bytes of parked blocks...
+inline constexpr std::size_t kMagazineBytes = 16 * 1024;
+/// ...and at most this many blocks.
+inline constexpr std::size_t kMagazineMaxBlocks = 32;
+
+/// Magazine capacity, in blocks, of a pool of `block_size`-byte blocks. 0
+/// means the pool runs on its depot alone.
+constexpr std::size_t magazine_blocks(std::size_t block_size) {
+  return std::min(kMagazineMaxBlocks, kMagazineBytes / block_size);
+}
+
+namespace pool_detail {
+struct FreeNode {
+  FreeNode* next;
+};
+struct Magazine;     // one thread's freelist for one pool (src/base/pool.cpp)
+struct ThreadCache;  // one thread's magazines, indexed by pool id
+}  // namespace pool_detail
+
+/// Process-wide freelist of fixed-size raw blocks for class-level operator
+/// new/delete overloads (allocation and release may happen on different
+/// threads): per-thread magazines in front of a spinlock-guarded depot of
+/// at most `max_free` parked blocks. A non-null `name` registers the pool
+/// in the process-wide pool registry; PayloadPool's size classes pass
+/// nullptr and report through its one "payload" row.
 class FixedBlockPool {
  public:
   FixedBlockPool(const char* name, std::size_t block_size,
@@ -191,21 +190,40 @@ class FixedBlockPool {
   PoolStats stats() const;
 
  private:
-  struct Node {
-    Node* next;
-  };
+  using Node = pool_detail::FreeNode;
+  using Magazine = pool_detail::Magazine;
+  friend struct pool_detail::ThreadCache;
+
+  Magazine* magazine();
+  Magazine* attach();
+  void refill(Magazine& m);
+  void spill(Magazine& m);
+  void* depot_allocate(std::size_t n);
+  void depot_release(void* p) noexcept;
+  void give_back(Magazine& m) noexcept;
+  void park(Node* n, Node*& drop) MPX_REQUIRES(mu_);
 
   const char* name_;
   const std::size_t block_size_;
-  const std::size_t max_free_;
-  mutable Spinlock mu_;
+  const std::size_t max_free_;  ///< depot cap (MPX_POOL_*_CAP)
+  const std::size_t mag_cap_;   ///< magazine_blocks(block_size_)
+  const std::size_t batch_;     ///< blocks per refill/spill
+  const bool passthrough_;      ///< pool_passthrough(), read once
+  const std::uint32_t id_;      ///< index into each thread's magazine table
+  mutable Spinlock mu_;         ///< the depot lock
   Node* free_ MPX_GUARDED_BY(mu_) = nullptr;
+  /// Depot counters plus the counts folded in from detached magazines.
+  /// `live` is kept signed in live_ instead: a block freed on another
+  /// thread than the one that allocated it makes per-thread counts negative.
   PoolStats st_ MPX_GUARDED_BY(mu_);
+  std::int64_t live_ MPX_GUARDED_BY(mu_) = 0;
+  Magazine* mags_ MPX_GUARDED_BY(mu_) = nullptr;  ///< attached magazines
 };
 
 /// Power-of-two size-class pool behind pooled payload buffers. Blocks up
-/// to max_block() bytes are recycled per class; larger requests fall
-/// through to the allocator. Thread-safe (one spinlock per class).
+/// to max_block() bytes are recycled per class, each class a FixedBlockPool
+/// (MPX_POOL_PAYLOAD_CAP bounds each class's depot); larger requests fall
+/// through to the allocator. Thread-safe.
 class PayloadPool {
  public:
   static PayloadPool& instance();
@@ -225,21 +243,11 @@ class PayloadPool {
   static constexpr std::size_t kMinBlock = 64;
   static constexpr std::size_t kClasses = 11;  // 64 B .. 64 KiB
 
-  struct Node {
-    Node* next;
-  };
-  struct SizeClass {
-    mutable Spinlock mu;
-    Node* free MPX_GUARDED_BY(mu) = nullptr;
-    PoolStats st MPX_GUARDED_BY(mu);
-  };
-
   static std::size_t class_of(std::size_t n);
   static std::size_t class_bytes(std::size_t cls) { return kMinBlock << cls; }
 
   std::size_t max_block_;
-  std::size_t max_free_per_class_;
-  SizeClass classes_[kClasses];
+  std::optional<FixedBlockPool> classes_[kClasses];
 };
 
 /// A Buffer of `n` bytes whose storage is recycled through the payload
@@ -264,6 +272,10 @@ namespace pool_detail {
 void register_pool(const char* name, PoolStats (*fn)(const void*),
                    const void* self);
 void unregister_pool(const void* self);
+/// Length of the calling thread's magazine table (one slot per pool id).
+/// Pool ids are reused, so it tracks the most pools alive at once, not the
+/// number ever created.
+std::size_t thread_magazine_slots();
 }  // namespace pool_detail
 
 }  // namespace mpx::base

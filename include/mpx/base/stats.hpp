@@ -55,12 +55,16 @@ class LatencyRecorder {
 /// allocator is a `miss`. `overflow` counts releases dropped to the
 /// allocator because the freelist was at capacity (cap too small), `live`
 /// is objects currently handed out, and `free_count` is parked storage.
+/// `depot` counts acquisitions of a process-wide pool's shared depot lock
+/// (magazine refills and spills, thread attach and exit); it stays 0 for
+/// pools without one.
 struct PoolStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
   std::uint64_t overflow = 0;
   std::size_t live = 0;
   std::size_t free_count = 0;
+  std::uint64_t depot = 0;
 };
 
 /// Streaming mean/variance (Welford) for cheap single-threaded accumulation.

@@ -181,8 +181,9 @@ struct RequestImpl : base::RefCounted {
 };
 
 /// Process-wide storage pool behind RequestImpl::operator new/delete.
-/// Capacity (parked blocks) is MPX_POOL_REQUEST_CAP; under ASan or
-/// MPX_POOL_DISABLE=1 every block passes through the global allocator.
+/// Per-thread magazines in front of a depot of MPX_POOL_REQUEST_CAP parked
+/// blocks; under ASan or MPX_POOL_DISABLE=1 every block passes through the
+/// global allocator.
 inline base::FixedBlockPool& request_pool() {
   static base::FixedBlockPool pool(
       "request", sizeof(RequestImpl),

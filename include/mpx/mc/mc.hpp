@@ -151,6 +151,12 @@ void mtx_unlock(const void* m);
 /// Fails the session when the mutex is destroyed while held or awaited
 /// (the stream_free publish-under-lock bug class).
 void mtx_destroy(const void* m);
+/// Run `fn` when the calling virtual thread's body returns, still as
+/// modeled code of that thread (in reverse order of registration). Thread
+/// exit work that takes modeled locks (the pool magazines flushing to their
+/// depots) must not wait for thread_local destructors: those run after the
+/// virtual thread has left the schedule. No-op when not modeled.
+void at_vthread_exit(void (*fn)());
 }  // namespace detail
 
 /// Seeded-mutation self-test toggles: reintroduce two real historical bugs

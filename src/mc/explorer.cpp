@@ -163,6 +163,7 @@ struct VThread {
 class Session;
 thread_local Session* tl_session = nullptr;  // set inside vthreads only
 thread_local int tl_tid = -1;
+thread_local std::vector<void (*)()> tl_exit_hooks;  // see at_vthread_exit
 
 class Session {
  public:
@@ -812,6 +813,11 @@ int Session::spawn(std::function<void()> fn) {
       self->resume_wait(lk2, id);
     }
     self->vt_[id].fn();
+    while (!tl_exit_hooks.empty()) {
+      void (*hook)() = tl_exit_hooks.back();
+      tl_exit_hooks.pop_back();
+      hook();
+    }
     std::unique_lock<std::mutex> lk2(self->mu_);
     VThread& me = self->vt_[id];
     me.state = TState::finished;
@@ -1084,6 +1090,10 @@ void plain_write(const void* addr, const char* what) {
 namespace detail {
 
 bool modeled() { return tl_session != nullptr && tl_tid >= 0; }
+
+void at_vthread_exit(void (*fn)()) {
+  if (modeled()) tl_exit_hooks.push_back(fn);
+}
 
 bool mc_load(const void* loc, std::uint64_t seed, int mo, const char* what,
              std::uint64_t* out) {

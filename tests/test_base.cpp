@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -255,40 +257,6 @@ TEST(Cvar, EnvParsing) {
   EXPECT_EQ(cvar_string("MPX_TEST_INT", ""), "42");
 }
 
-TEST(Pool, Recycles) {
-  ObjectPool<std::vector<int>> pool;
-  auto a = pool.acquire();
-  auto* raw = a.get();
-  pool.release(std::move(a));
-  auto b = pool.acquire();
-  EXPECT_EQ(b.get(), raw);  // recycled, not reallocated
-  EXPECT_EQ(pool.total_allocated(), 1u);
-}
-
-TEST(Pool, ObjectPoolAccounting) {
-  ObjectPool<int> pool;
-  EXPECT_EQ(pool.live(), 0u);
-  EXPECT_EQ(pool.capacity(), 0u);
-  auto a = pool.acquire();
-  auto b = pool.acquire();
-  EXPECT_EQ(pool.live(), 2u);
-  EXPECT_EQ(pool.capacity(), 2u);
-  EXPECT_EQ(pool.free_count(), 0u);
-  pool.release(std::move(a));
-  // One handed out, one parked: capacity counts both, live only the former.
-  EXPECT_EQ(pool.live(), 1u);
-  EXPECT_EQ(pool.capacity(), 2u);
-  EXPECT_EQ(pool.free_count(), 1u);
-  auto c = pool.acquire();  // recycles the parked object
-  EXPECT_EQ(pool.live(), 2u);
-  EXPECT_EQ(pool.capacity(), 2u);
-  EXPECT_EQ(pool.total_allocated(), 2u);  // cumulative, not live
-  pool.release(std::move(b));
-  pool.release(std::move(c));
-  EXPECT_EQ(pool.live(), 0u);
-  EXPECT_EQ(pool.capacity(), 2u);
-}
-
 TEST(Pool, FreelistPoolRecyclesAndCaps) {
   struct Node {
     explicit Node(int x) : v(x) {}
@@ -345,6 +313,81 @@ TEST(Pool, FixedBlockPoolRegistryAndStats) {
   }
   // Destruction unregisters the pool.
   EXPECT_FALSE(find("test-block").has_value());
+}
+
+// Blocks allocated on one thread and freed on another: the counts split
+// across two magazines (thread B's `live` goes negative) and both fold into
+// the depot at thread exit, so the totals stay exact.
+TEST(Pool, CrossThreadFreeKeepsStatsExact) {
+  constexpr std::size_t kN = 100;
+  constexpr std::size_t kCap = 40;
+  FixedBlockPool pool("test-xthread", 64, /*max_free=*/kCap);
+  std::vector<void*> blocks;
+  std::thread a([&] {
+    for (std::size_t i = 0; i < kN; ++i) blocks.push_back(pool.allocate(64));
+  });
+  a.join();
+  EXPECT_EQ(pool.stats().live, kN);
+  std::thread b([&] {
+    for (void* p : blocks) pool.deallocate(p);
+  });
+  b.join();
+  const PoolStats s = pool.stats();
+  EXPECT_EQ(s.hits + s.misses, kN);
+  EXPECT_EQ(s.live, 0u);
+  // Both magazines went back at thread exit: every parked block is in the
+  // depot, which keeps kCap of them and frees the rest.
+  const std::size_t parked = pool_passthrough() ? 0 : kCap;
+  EXPECT_EQ(s.free_count, parked);
+  EXPECT_EQ(s.overflow, kN - parked);
+  EXPECT_GT(s.depot, 0u);
+}
+
+// Pool ids are reused, so a thread's magazine table stays as long as the
+// most pools it saw alive at once; each destroyed pool drains the calling
+// thread's magazine before the next one takes its id.
+TEST(Pool, StackPoolsKeepMagazineTableBounded) {
+  std::size_t slots = 0;
+  for (int i = 0; i < 1000; ++i) {
+    FixedBlockPool pool("test-stack", 64, /*max_free=*/4);
+    void* p = pool.allocate(64);
+    void* q = pool.allocate(64);
+    pool.deallocate(p);
+    pool.deallocate(q);
+    EXPECT_EQ(pool.stats().free_count, pool_passthrough() ? 0u : 2u);
+    if (i == 0) slots = pool_detail::thread_magazine_slots();
+  }
+  EXPECT_GT(slots, 0u);
+  EXPECT_EQ(pool_detail::thread_magazine_slots(), slots);
+}
+
+// A pool destroyed while another live thread still holds blocks in its
+// magazine frees them; that thread then exits cleanly, and its next pool
+// reuses the detached magazine.
+TEST(Pool, DestroyDrainsMagazinesOfLiveThreads) {
+  std::mutex mu;
+  std::condition_variable cv;
+  int phase = 0;
+  auto pool = std::make_unique<FixedBlockPool>("test-drain", 64, 8);
+  std::thread t([&] {
+    pool->deallocate(pool->allocate(64));  // parks one block
+    std::unique_lock<std::mutex> lk(mu);
+    phase = 1;
+    cv.notify_all();
+    cv.wait(lk, [&] { return phase == 2; });
+    FixedBlockPool next("test-drain-next", 64, 8);
+    next.deallocate(next.allocate(64));
+    EXPECT_EQ(next.stats().live, 0u);
+  });
+  {
+    std::unique_lock<std::mutex> lk(mu);
+    cv.wait(lk, [&] { return phase == 1; });
+    EXPECT_EQ(pool->stats().free_count, pool_passthrough() ? 0u : 1u);
+    pool.reset();
+    phase = 2;
+    cv.notify_all();
+  }
+  t.join();
 }
 
 TEST(Pool, PooledBufferRoundtrip) {

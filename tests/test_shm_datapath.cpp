@@ -79,6 +79,64 @@ TEST(ShmDatapath, InSlotEagerMakesZeroPayloadAllocations) {
   EXPECT_EQ(pay1.misses - pay0.misses, 0u);
 }
 
+namespace {
+
+base::PoolStats registry_stats(const char* name) {
+  for (const base::NamedPoolStats& row : base::pool_registry_snapshot()) {
+    if (row.name == name) return row.stats;
+  }
+  ADD_FAILURE() << "no pool named " << name;
+  return {};
+}
+
+// `rounds` two-rank ping-pong round trips of `bytes`, both ranks driven
+// from the calling thread.
+void ping_pong(const Comm& c0, const Comm& c1, std::size_t bytes, int rounds) {
+  std::vector<std::uint8_t> out(bytes, 0x3c), in(bytes, 0);
+  for (int i = 0; i < rounds; ++i) {
+    Request r1 = c1.irecv(in.data(), bytes, dtype::Datatype::byte(), 0, 7);
+    c0.isend(out.data(), bytes, dtype::Datatype::byte(), 1, 7).wait();
+    r1.wait();
+    Request r0 = c0.irecv(in.data(), bytes, dtype::Datatype::byte(), 1, 8);
+    c1.isend(out.data(), bytes, dtype::Datatype::byte(), 0, 8).wait();
+    r0.wait();
+  }
+}
+
+}  // namespace
+
+// Work-per-message gate on the shared pool lock: once a thread's magazines
+// are warm, a steady 8 B ping-pong recycles every request through them and
+// never takes the request pool's depot lock. 1 KiB payloads ride pooled
+// overflow cells; their size class may reach the depot at most once per
+// magazine batch, far below once per message. Both counts are exact, so a
+// change that puts a shared lock back on the per-message path fails here
+// instead of hiding in wall-time noise.
+TEST(ShmDatapath, SteadyPingPongStaysOffThePoolDepots) {
+  auto w = World::create(WorldConfig{.nranks = 2});
+  Comm c0 = w->comm_world(0);
+  Comm c1 = w->comm_world(1);
+  constexpr int kRounds = 1000;
+
+  ping_pong(c0, c1, 8, 100);  // warm-up
+  const base::PoolStats req0 = registry_stats("request");
+  ping_pong(c0, c1, 8, kRounds);
+  const base::PoolStats req1 = registry_stats("request");
+  EXPECT_GE(req1.hits + req1.misses - req0.hits - req0.misses,
+            static_cast<std::uint64_t>(4 * kRounds));
+  EXPECT_EQ(req1.depot - req0.depot, 0u);
+
+  constexpr std::size_t kLarge = 1024;  // > slot_bytes: pooled overflow cell
+  ping_pong(c0, c1, kLarge, 100);
+  const base::PoolStats pay0 = base::PayloadPool::instance().stats();
+  ping_pong(c0, c1, kLarge, kRounds);
+  const base::PoolStats pay1 = base::PayloadPool::instance().stats();
+  const std::uint64_t messages = 2 * kRounds;
+  EXPECT_GE(pay1.hits + pay1.misses - pay0.hits - pay0.misses, messages);
+  const std::uint64_t batch = base::magazine_blocks(kLarge) / 2;
+  EXPECT_LE(pay1.depot - pay0.depot, messages / batch);
+}
+
 TEST(ShmDatapath, BatchedDeliveryCountersSurfaceThroughWorldStats) {
   auto w = World::create(WorldConfig{.nranks = 2});
   Comm c0 = w->comm_world(0);
@@ -221,5 +279,10 @@ TEST(ShmDatapath, ThreadedSenderReceiverFifoUnderParking) {
         EXPECT_TRUE(std::memcmp(buf.data(), pattern(i, n).data(), n) == 0);
       }
     }
+    // The receiver's last rendezvous acks may still be parked behind the
+    // full 1 -> 0 ring when its final recv returns; only rank 1's own
+    // progress flushes them, so it must keep progressing until quiescent
+    // (MPI_Finalize semantics) or the sender's wait_all never completes.
+    w->finalize_rank(rank);
   });
 }
