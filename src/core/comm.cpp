@@ -251,8 +251,9 @@ Comm Comm::coll_view() const {
 
 int Comm::next_coll_tag() const {
   expects(valid(), "Comm::next_coll_tag: invalid communicator");
-  if (impl_->coll_seq.empty()) {
-    // Lazily sized; only resized once under the clone mutex.
+  {
+    // Lazily sized under the clone mutex. Every member checks under the
+    // lock: an unlocked empty() read would race another member's assign.
     base::LockGuard<base::InstrumentedMutex> g(impl_->clone_mu);
     if (impl_->coll_seq.empty()) impl_->coll_seq.assign(impl_->group.size(), 0);
   }

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <cstdint>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "mpx/base/thread.hpp"
@@ -42,6 +43,7 @@ TEST(ProgressStress, ManyThreadsOneVciWithCompletionPolls) {
   }
 
   std::atomic<bool> stop{false};
+  std::atomic<bool> polling{false};
   std::atomic<std::uint64_t> polls{0};
   {
     std::vector<base::ScopedThread> threads;
@@ -58,6 +60,7 @@ TEST(ProgressStress, ManyThreadsOneVciWithCompletionPolls) {
     // One thread doing nothing but is_complete polls (no progress side
     // effects) across every outstanding request, §3.4 style.
     threads.emplace_back([&] {
+      polling.store(true, std::memory_order_release);
       while (!stop.load(std::memory_order_acquire)) {
         for (Request& r : recvs) {
           if (r.is_complete()) polls.fetch_add(1, std::memory_order_relaxed);
@@ -66,8 +69,11 @@ TEST(ProgressStress, ManyThreadsOneVciWithCompletionPolls) {
     });
 
     // Sender: rank 0 pushes all messages, driving its own progress so
-    // parked sends drain even though nobody else polls rank 0.
+    // parked sends drain even though nobody else polls rank 0. It starts
+    // once the poller runs, so the polls overlap the traffic instead of
+    // racing the poller thread's startup.
     threads.emplace_back([&] {
+      while (!polling.load(std::memory_order_acquire)) std::this_thread::yield();
       Comm c0 = w->comm_world(0);
       std::vector<Request> sends;
       sends.reserve(kMessages);

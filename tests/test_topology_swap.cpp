@@ -169,6 +169,9 @@ TEST(TopologySwap, StressBidirectionalTrafficWhileSwapping) {
     w->finalize_rank(rank);
   });
   done.store(true, std::memory_order_release);
+  // The last gate opens on the last send, so a swap can still be running
+  // after the ranks finish: count epochs once the swapper is done.
+  swapper.join();
 
   // 1 (construction) + 2 per completed swap, monotone.
   EXPECT_GE(w->topology_epoch(), 1u);
