@@ -108,15 +108,15 @@ WorldConfig overlap_config() {
   // progress engine can overlap with compute.
   cfg.shm_lmt_chunk = 128 * 1024;
   // Reactive controller so the promotion ramp amortizes even in smoke
-  // runs; everything else stays at MPX_ENGINE_* defaults.
+  // runs; everything else stays at the ProgressEngineConfig defaults.
   cfg.progress_engine.epoch_us = 200;
-  // Dedicate eagerly (MPX_ENGINE_DEDICATE_RATE): epoch hit rates here top
+  // Dedicate eagerly (dedicate_hit_rate): epoch hit rates here top
   // out around 0.1-0.3 because polls during the compute gap come up empty,
   // so the default 0.5 would never pin a worker to the hot VCI. Once
   // pinned, the worker polls it back-to-back exactly like the static
   // dedicated baseline -- rotation overhead only during ramp-up.
   cfg.progress_engine.dedicate_hit_rate = 0.05;
-  // Tighter sleep rung (MPX_WAIT_SLEEP_MAX): caps the reaction latency of
+  // Tighter sleep rung (wait_sleep_max_us): caps the reaction latency of
   // idle engine workers (and of every blocking wait) at 16us instead of
   // the 64us default. Applied to all three variants alike.
   cfg.wait_sleep_max_us = 16;

@@ -1,8 +1,9 @@
 // mpx/base/cvar.hpp
 //
-// Runtime configuration variables ("CVARs"), MPICH-style: every tunable has a
-// compiled-in default overridable through an MPX_-prefixed environment
-// variable. WorldConfig consults these at construction.
+// Environment lookups for the debug and test switches (lock-rank
+// validation, log level, pool passthrough, schedule verification, model
+// checker limits). Runtime tuning lives in WorldConfig fields and named
+// constants instead; docs/tuning.md lists all three.
 #pragma once
 
 #include <cstddef>
@@ -13,7 +14,6 @@ namespace mpx::base {
 
 /// Read environment variable `name`; return `def` when unset or malformed.
 std::int64_t cvar_int(const char* name, std::int64_t def);
-double cvar_double(const char* name, double def);
 bool cvar_bool(const char* name, bool def);
 std::string cvar_string(const char* name, const std::string& def);
 

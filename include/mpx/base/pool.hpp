@@ -26,7 +26,8 @@
 // or full (spill), and then half a magazine at a time. A magazine holds at
 // most kMagazineBytes of blocks and at most kMagazineMaxBlocks blocks
 // (magazine_blocks()); classes whose blocks exceed the byte budget run on
-// the depot alone. The MPX_POOL_*_CAP knobs bound the depot. A thread's
+// the depot alone. Each pool's owner passes its depot cap, a named
+// constant next to the pool (kRequestPoolCap and friends). A thread's
 // magazines go back to the depot when it exits; a pool destroyed while
 // magazines still hold its blocks drains them.
 //
@@ -87,14 +88,10 @@ class FreelistPool {
                 "FreelistPool: over-aligned T not supported");
 
  public:
-  explicit FreelistPool(std::size_t max_free = 256) : max_free_(max_free) {}
+  explicit FreelistPool(std::size_t max_free) : max_free_(max_free) {}
   FreelistPool(const FreelistPool&) = delete;
   FreelistPool& operator=(const FreelistPool&) = delete;
   ~FreelistPool() { drain(); }
-
-  /// Retune the parked-block cap (used by owners configured after
-  /// construction, e.g. a Vci sized from WorldConfig).
-  void set_max_free(std::size_t m) { max_free_ = m; }
 
   template <class... Args>
   T* acquire(Args&&... args) {
@@ -145,7 +142,7 @@ class FreelistPool {
   }
 
   Node* free_ = nullptr;
-  std::size_t max_free_;
+  const std::size_t max_free_;
   PoolStats st_;
 };
 
@@ -205,7 +202,7 @@ class FixedBlockPool {
 
   const char* name_;
   const std::size_t block_size_;
-  const std::size_t max_free_;  ///< depot cap (MPX_POOL_*_CAP)
+  const std::size_t max_free_;  ///< depot cap
   const std::size_t mag_cap_;   ///< magazine_blocks(block_size_)
   const std::size_t batch_;     ///< blocks per refill/spill
   const bool passthrough_;      ///< pool_passthrough(), read once
@@ -222,8 +219,8 @@ class FixedBlockPool {
 
 /// Power-of-two size-class pool behind pooled payload buffers. Blocks up
 /// to max_block() bytes are recycled per class, each class a FixedBlockPool
-/// (MPX_POOL_PAYLOAD_CAP bounds each class's depot); larger requests fall
-/// through to the allocator. Thread-safe.
+/// (kDepotCap bounds each class's depot); larger requests fall through to
+/// the allocator. Thread-safe.
 class PayloadPool {
  public:
   static PayloadPool& instance();
@@ -233,7 +230,10 @@ class PayloadPool {
   std::byte* allocate(std::size_t n);
   void release(std::byte* p, std::size_t n) noexcept;
 
-  std::size_t max_block() const { return max_block_; }
+  /// Largest pooled payload: the top size class.
+  static constexpr std::size_t max_block() {
+    return class_bytes(kClasses - 1);
+  }
   PoolStats stats() const;
 
  private:
@@ -242,11 +242,13 @@ class PayloadPool {
 
   static constexpr std::size_t kMinBlock = 64;
   static constexpr std::size_t kClasses = 11;  // 64 B .. 64 KiB
+  static constexpr std::size_t kDepotCap = 128;  ///< parked blocks per class
 
   static std::size_t class_of(std::size_t n);
-  static std::size_t class_bytes(std::size_t cls) { return kMinBlock << cls; }
+  static constexpr std::size_t class_bytes(std::size_t cls) {
+    return kMinBlock << cls;
+  }
 
-  std::size_t max_block_;
   std::optional<FixedBlockPool> classes_[kClasses];
 };
 

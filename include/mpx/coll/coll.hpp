@@ -18,7 +18,7 @@
 //   reduce_scatter_block   ring
 //   scan, exscan           linear chain
 //
-// ir::Opts / MPX_COLL_ALGO force an algorithm where the cost model picks.
+// ir::Opts::algo forces an algorithm where the cost model picks.
 // All "count"s are per-rank element counts of `dt`, MPI-style; any valid
 // datatype works except that reductions need a contiguous one. Reductions
 // assume commutative operators (all built-in ReduceOps are commutative).

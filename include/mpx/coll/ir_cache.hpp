@@ -27,6 +27,7 @@
 // CommImpl via the comm-ext slot) lives in ir_front.cpp.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -57,6 +58,10 @@ struct SchedKey {
 
   friend bool operator==(const SchedKey&, const SchedKey&) = default;
 };
+
+/// Schedules cached per communicator (every member rank's entries count);
+/// inserts past it run uncached and count as rejects.
+inline constexpr std::size_t kSchedCacheCap = 64;
 
 class SchedCache {
  public:

@@ -18,10 +18,10 @@
 // Request::is_complete() inside poll_fn to observe MPI operations.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <vector>
 
-#include "mpx/base/cvar.hpp"
 #include "mpx/base/intrusive.hpp"
 #include "mpx/base/pool.hpp"
 #include "mpx/core/stream.hpp"
@@ -100,12 +100,13 @@ class AsyncThing {
 };
 
 namespace core_detail {
-/// Process-wide storage pool behind AsyncThing::operator new/delete
-/// (depot capacity: MPX_POOL_ASYNC_CAP parked blocks).
+/// Parked blocks in the async-hook pool's depot.
+inline constexpr std::size_t kAsyncPoolCap = 1024;
+
+/// Process-wide storage pool behind AsyncThing::operator new/delete.
 inline base::FixedBlockPool& async_thing_pool() {
-  static base::FixedBlockPool pool(
-      "async-thing", sizeof(AsyncThing),
-      static_cast<std::size_t>(base::cvar_int("MPX_POOL_ASYNC_CAP", 1024)));
+  static base::FixedBlockPool pool("async-thing", sizeof(AsyncThing),
+                                   kAsyncPoolCap);
   return pool;
 }
 }  // namespace core_detail

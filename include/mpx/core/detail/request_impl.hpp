@@ -35,7 +35,6 @@
 #include <memory>
 
 #include "mpx/base/buffer.hpp"
-#include "mpx/base/cvar.hpp"
 #include "mpx/base/intrusive.hpp"
 #include "mpx/base/pool.hpp"
 #include "mpx/base/status.hpp"
@@ -180,14 +179,16 @@ struct RequestImpl : base::RefCounted {
   bool cancelled = false;
 };
 
+/// Parked blocks in the request pool's depot.
+inline constexpr std::size_t kRequestPoolCap = 1024;
+
 /// Process-wide storage pool behind RequestImpl::operator new/delete.
-/// Per-thread magazines in front of a depot of MPX_POOL_REQUEST_CAP parked
+/// Per-thread magazines in front of a depot of kRequestPoolCap parked
 /// blocks; under ASan or MPX_POOL_DISABLE=1 every block passes through the
 /// global allocator.
 inline base::FixedBlockPool& request_pool() {
-  static base::FixedBlockPool pool(
-      "request", sizeof(RequestImpl),
-      static_cast<std::size_t>(base::cvar_int("MPX_POOL_REQUEST_CAP", 1024)));
+  static base::FixedBlockPool pool("request", sizeof(RequestImpl),
+                                   kRequestPoolCap);
   return pool;
 }
 

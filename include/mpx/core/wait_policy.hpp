@@ -31,12 +31,11 @@
 
 namespace mpx::core_detail {
 
-/// Tunables (WorldConfig::wait_spin / wait_yield / wait_sleep_max_us;
-/// MPX_WAIT_SPIN / MPX_WAIT_YIELD / MPX_WAIT_SLEEP_MAX). Negative spin:
-/// spin forever (never yield or sleep — the paper's original full-rate
-/// loop). Negative yield: never sleep. sleep_max_us caps the exponential
-/// sleep rung; it is shared with task::ProgressThread's sleep backoff so
-/// one cvar governs every idle sleeper in the process.
+/// Tunables (WorldConfig::wait_spin / wait_yield / wait_sleep_max_us).
+/// Negative spin: spin forever (never yield or sleep — the paper's original
+/// full-rate loop). Negative yield: never sleep. sleep_max_us caps the
+/// exponential sleep rung; it is shared with task::ProgressThread's sleep
+/// backoff so one field governs every idle sleeper of a World.
 struct WaitPolicy {
   int spin = 200;
   int yield = 32;

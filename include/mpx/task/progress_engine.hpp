@@ -17,16 +17,16 @@
 //   dedicated — one worker pins to this single hot VCI (the classic
 //               async-progress-thread shape, paid only while it earns).
 //
-// A controller thread ticks every MPX_ENGINE_EPOCH_US and samples, per
-// attached VCI: application progress calls (total progress_calls minus the
-// engine's own polls), pending work (active_ops), the engine's own
-// poll/hit rate, and the wait-ladder rung occupancy from wait_policy.hpp
-// (waiters that fell off the spin rung are making empty polls — background
-// progress cuts their latency). Transitions take MPX_ENGINE_HYSTERESIS
-// consecutive epochs of the same signal, so the controller never flaps at
-// a threshold; promotions that would exceed MPX_ENGINE_MAX_WORKERS are
-// deferred, not dropped. The decision rules live in EnginePolicy, pure and
-// deterministic, so tests drive them with injected samples.
+// A controller thread ticks every epoch_us (WorldConfig::progress_engine)
+// and samples, per attached VCI: application progress calls (total
+// progress_calls minus the engine's own polls), pending work (active_ops),
+// the engine's own poll/hit rate, and the wait-ladder rung occupancy from
+// wait_policy.hpp (waiters that fell off the spin rung are making empty
+// polls — background progress cuts their latency). Transitions take
+// `hysteresis` consecutive epochs of the same signal, so the controller
+// never flaps at a threshold; promotions that would exceed `max_workers`
+// are deferred, not dropped. The decision rules live in EnginePolicy, pure
+// and deterministic, so tests drive them with injected samples.
 //
 // Workers call core_detail::vci_poll on the resolved Vci — the same
 // compiled stage table every progress_test scan runs, no new virtual hops
@@ -86,7 +86,7 @@ class EnginePolicy {
 
   /// One epoch's decision. `can_grow` reports whether the worker budget
   /// admits the promotion the policy may want this epoch (controller
-  /// enforces MPX_ENGINE_MAX_WORKERS); a matured promote streak with
+  /// enforces max_workers); a matured promote streak with
   /// can_grow == false is held, not reset — the promotion is deferred.
   EngineMode decide(EngineMode current, const EngineSample& s, bool can_grow);
 
@@ -100,7 +100,7 @@ class EnginePolicy {
 /// (workers start lazily on first promotion) and everything stops and
 /// joins in stop()/the destructor. Constructing a World never creates one
 /// of these — the engine is opt-in, owned by the application or benchmark,
-/// configured through WorldConfig::progress_engine (MPX_ENGINE_* cvars).
+/// configured through WorldConfig::progress_engine.
 ///
 /// Threading contract: workers only ever call core_detail::vci_poll /
 /// the wait-ladder backoff — they block on nothing and acquire no

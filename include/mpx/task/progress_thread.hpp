@@ -21,7 +21,7 @@ namespace mpx::task {
 enum class ProgressBackoff {
   busy,   ///< spin flat out (lowest latency, burns a core)
   yield,  ///< sched_yield between idle polls
-  sleep,  ///< exponential sleep when idle, capped at MPX_WAIT_SLEEP_MAX
+  sleep,  ///< exponential sleep when idle, capped at wait_sleep_max_us
 };
 
 /// RAII progress thread for one stream. Starts on construction, stops and

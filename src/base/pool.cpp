@@ -1,7 +1,6 @@
 // Process-wide pool machinery: the passthrough switch, the magazine/depot
 // engine behind FixedBlockPool and PayloadPool (per-thread magazine tables,
-// thread-exit flush, pool ids), and the stats registry. Pool capacities come
-// from MPX_POOL_* cvars, read once at pool construction.
+// thread-exit flush, pool ids), and the stats registry.
 #include "mpx/base/pool.hpp"
 
 #include <algorithm>
@@ -482,16 +481,9 @@ PoolStats FixedBlockPool::stats() const {
 
 // ---- PayloadPool ----
 
-PayloadPool::PayloadPool()
-    : max_block_(std::min(
-          static_cast<std::size_t>(cvar_int(
-              "MPX_POOL_PAYLOAD_MAX",
-              static_cast<std::int64_t>(class_bytes(kClasses - 1)))),
-          class_bytes(kClasses - 1))) {
-  const auto cap =
-      static_cast<std::size_t>(cvar_int("MPX_POOL_PAYLOAD_CAP", 128));
+PayloadPool::PayloadPool() {
   for (std::size_t cls = 0; cls < kClasses; ++cls) {
-    classes_[cls].emplace(nullptr, class_bytes(cls), cap);
+    classes_[cls].emplace(nullptr, class_bytes(cls), kDepotCap);
   }
   pool_detail::register_pool(
       "payload", [](const void* self) {
@@ -545,9 +537,8 @@ void payload_deleter(std::byte* p, std::size_t n) noexcept {
 
 Buffer pooled_buffer(std::size_t n) {
   if (n == 0) return Buffer();
-  PayloadPool& pool = PayloadPool::instance();
-  if (n > pool.max_block()) return Buffer(n);
-  return Buffer(pool.allocate(n), n, &payload_deleter);
+  if (n > PayloadPool::max_block()) return Buffer(n);
+  return Buffer(PayloadPool::instance().allocate(n), n, &payload_deleter);
 }
 
 Buffer pooled_copy(ConstByteSpan src) {

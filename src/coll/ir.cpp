@@ -60,12 +60,7 @@ const char* to_string(CollKind k) {
 
 namespace {
 constexpr std::size_t kArenaAlign = 64;  // cache-line aligned arenas
-
-std::size_t scratch_cap() {
-  static const std::size_t cap = static_cast<std::size_t>(
-      base::cvar_int("MPX_COLL_SCRATCH_CAP", 8));
-  return cap;
-}
+constexpr std::size_t kScratchCap = 8;   // parked arenas per schedule
 }  // namespace
 
 ScratchRecycler::~ScratchRecycler() {
@@ -105,7 +100,7 @@ void ScratchRecycler::put(std::byte* p, std::size_t bytes) {
   base::LockGuard<base::Spinlock> g(mu_);
   expects(block_bytes_ == want, "ScratchRecycler: put of foreign arena");
   --st_.live;
-  if (st_.free_count < scratch_cap() && !base::pool_passthrough()) {
+  if (st_.free_count < kScratchCap && !base::pool_passthrough()) {
     Node* n = ::new (static_cast<void*>(p)) Node{free_};
     free_ = n;
     ++st_.free_count;

@@ -17,10 +17,8 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
-#include <string>
 
 #include "ir_internal.hpp"
-#include "mpx/base/cvar.hpp"
 
 namespace mpx::coll::ir {
 
@@ -452,18 +450,6 @@ int knomial_radix(int P, double bytes, const net::CostModel& net) {
   return best_k;
 }
 
-Algo env_algo() {
-  static const Algo a = [] {
-    const std::string s = base::cvar_string("MPX_COLL_ALGO", "auto");
-    for (const Algo c : {Algo::rd, Algo::ring, Algo::rsag, Algo::knomial,
-                         Algo::scatter_ag}) {
-      if (s == to_string(c)) return c;
-    }
-    return Algo::auto_;
-  }();
-  return a;
-}
-
 /// The one algorithm of each kind the cost model does not choose for
 /// (auto_ for allreduce and bcast, which it does).
 Algo fixed_algo(CollKind kind) {
@@ -550,27 +536,14 @@ Algo select_algo(CollKind kind, std::size_t bytes, int size,
 
 // ---- count classes ---------------------------------------------------------
 
-namespace {
-
-int class_step() {
-  static const int step = [] {
-    const long s = base::cvar_int("MPX_COLL_CLASS_STEP", 1);
-    return static_cast<int>(s < 1 ? 1 : (s > 8 ? 8 : s));
-  }();
-  return step;
-}
-
-}  // namespace
-
 int count_class(std::size_t bytes) {
-  return static_cast<int>(std::bit_width(bytes)) / class_step();
+  return static_cast<int>(std::bit_width(bytes));
 }
 
 std::size_t class_max_bytes(int cls) {
-  const int w = (cls + 1) * class_step() - 1;
-  if (w <= 0) return 0;
-  if (w >= 48) return (std::size_t{1} << 48) - 1;  // clamp: plenty
-  return (std::size_t{1} << w) - 1;
+  if (cls <= 0) return 0;
+  if (cls >= 48) return (std::size_t{1} << 48) - 1;  // clamp: plenty
+  return (std::size_t{1} << cls) - 1;
 }
 
 // ---- compile ---------------------------------------------------------------
@@ -578,8 +551,6 @@ std::size_t class_max_bytes(int cls) {
 Algo resolve_algo(CollKind kind, std::size_t bytes, int size,
                   const net::CostModel& net, Algo force) {
   if (force != Algo::auto_ && algo_valid_for(kind, force)) return force;
-  const Algo env = env_algo();
-  if (env != Algo::auto_ && algo_valid_for(kind, env)) return env;
   return select_algo(kind, bytes, size, net);
 }
 

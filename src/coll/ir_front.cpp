@@ -17,8 +17,7 @@ namespace mpx::coll::ir {
 namespace {
 
 std::unique_ptr<core_detail::CommExt> make_coll_ext(void* /*arg*/) {
-  return std::make_unique<CollCommExt>(static_cast<std::size_t>(
-      base::cvar_int("MPX_COLL_CACHE_CAP", 64)));
+  return std::make_unique<CollCommExt>();
 }
 
 /// MPX_COLL_VERIFY gate: before a freshly compiled schedule may enter the

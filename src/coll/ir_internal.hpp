@@ -27,16 +27,16 @@ bool refs_conflict(const Ref& a, const Ref& b);
 
 // ir_compile.cpp ------------------------------------------------------------
 
-/// Count class of a byte length: bucketed bit-width (MPX_COLL_CLASS_STEP
-/// buckets per power of two, default 1).
+/// Count class of a byte length: its bit width (one class per power of
+/// two).
 int count_class(std::size_t bytes);
 
 /// Largest byte length admitted by class `cls` (schedules are compiled and
 /// scratch-sized for this bound).
 std::size_t class_max_bytes(int cls);
 
-/// Algorithm resolution order: per-call force, MPX_COLL_ALGO, cost model.
-/// Deterministic — every rank resolves identically.
+/// Algorithm resolution: the per-call force if valid for `kind`, else the
+/// cost model. Deterministic — every rank resolves identically.
 Algo resolve_algo(CollKind kind, std::size_t bytes, int size,
                   const net::CostModel& net, Algo force);
 
@@ -54,7 +54,7 @@ inline constexpr std::size_t kAnyCount = std::size_t{1} << 40;
 /// freed with the communicator: the schedule cache plus the resolved
 /// executor source (cached so launch skips the registry scan).
 struct CollCommExt final : core_detail::CommExt {
-  explicit CollCommExt(std::size_t cap) : cache(cap) {}
+  CollCommExt() : cache(kSchedCacheCap) {}
   SchedCache cache;
   /// The world's SchedExecSource, resolved on first launch. Raw atomic:
   /// racing writers store the same value (not part of the modeled cache

@@ -95,6 +95,9 @@ struct ParkedSend {
   std::uint64_t cookie = 0;
 };
 
+/// Parked blocks in each VCI's unexpected-message freelist.
+inline constexpr std::size_t kUnexpPoolCap = 256;
+
 /// One virtual communication interface: the serial execution context behind
 /// an MPIX_Stream. VCI 0 is the default (MPIX_STREAM_NULL) context.
 ///
@@ -124,7 +127,7 @@ struct Vci {
   /// both happen under `mu` (arrival handlers, irecv/imrecv consume,
   /// teardown), so a plain per-VCI freelist suffices — no atomics on this
   /// hot path, unlike the process-wide request/payload pools.
-  base::FreelistPool<UnexpMsg> unexp_pool MPX_GUARDED_BY(mu);
+  base::FreelistPool<UnexpMsg> unexp_pool MPX_GUARDED_BY(mu){kUnexpPoolCap};
 
   // Progress subsystems, in Listing 1.1 order.
   dtype::PackEngine pack_engine MPX_GUARDED_BY(mu);   // (1) datatype engine

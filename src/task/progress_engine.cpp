@@ -57,8 +57,13 @@ struct ProgressEngine::Slot {
   EnginePolicy policy;
 };
 
+namespace {
+/// Slots in each shared worker's work-stealing deque of VCI assignments.
+constexpr std::size_t kDequeCapacity = 64;
+}  // namespace
+
 struct ProgressEngine::Worker {
-  Worker(int idx, std::size_t deque_cap) : index(idx), deque(deque_cap) {}
+  explicit Worker(int idx) : index(idx), deque(kDequeCapacity) {}
 
   const int index;
   StealDeque<int> deque;            ///< this worker's shared rotation
@@ -160,7 +165,6 @@ ProgressEngine::ProgressEngine(World& world)
     : world_(world), cfg_(world.config().progress_engine) {
   if (cfg_.epoch_us < 1) cfg_.epoch_us = 1;
   if (cfg_.max_workers < 1) cfg_.max_workers = 1;
-  if (cfg_.deque_capacity < 2) cfg_.deque_capacity = 2;
   const WorldConfig& wc = world.config();
   worker_wait_ = core_detail::WaitPolicy{wc.wait_spin, wc.wait_yield,
                                          wc.wait_sleep_max_us};
@@ -289,8 +293,7 @@ int ProgressEngine::poll_slot(Slot& s) {
 int ProgressEngine::spawn_worker_locked() {
   const int n = worker_count_.load(std::memory_order_relaxed);
   expects(n < cfg_.max_workers, "ProgressEngine: worker ceiling exceeded");
-  auto w = std::make_unique<Worker>(
-      n, static_cast<std::size_t>(cfg_.deque_capacity));
+  auto w = std::make_unique<Worker>(n);
   Worker* raw = w.get();
   workers_[static_cast<std::size_t>(n)] = std::move(w);
   // Publish the table entry before the thread starts and before other

@@ -65,8 +65,8 @@ void ProgressThread::run() {
       case ProgressBackoff::sleep: {
         // Exponential backoff keeps idle cost near zero while bounding
         // added latency when work reappears. The cap is the same
-        // MPX_WAIT_SLEEP_MAX the wait ladder uses — one knob for every
-        // idle sleeper in the process.
+        // WorldConfig::wait_sleep_max_us the wait ladder uses — one knob
+        // for every idle sleeper of the World.
         if (idle_streak < 8) {
           std::this_thread::yield();
         } else {

@@ -15,6 +15,7 @@
 #include "mpx/base/pool.hpp"
 #include "mpx/coll/coll.hpp"
 #include "mpx/coll/ir.hpp"
+#include "mpx/coll/ir_cache.hpp"
 #include "test_util.hpp"
 
 using namespace mpx;
@@ -303,21 +304,25 @@ TEST(CollIrCache, HitCountersAndDistinctKeys) {
 }
 
 TEST(CollIrCache, CapacityRejectsStillCorrect) {
-  ::setenv("MPX_COLL_CACHE_CAP", "2", 1);
+  // 17 count classes (int64 counts 1, 2, 4, ..., 2^16) on 4 ranks: 68
+  // per-rank keys against a cap of kSchedCacheCap.
+  constexpr int kClasses = 17;
+  static_assert(4 * kClasses > static_cast<int>(ir::kSchedCacheCap));
   WorldConfig cfg;
   cfg.nranks = 4;
   auto w = World::create(cfg);
   mpx_test::run_ranks(*w, [&](int rank) {
     Comm c = w->comm_world(rank);
-    std::vector<std::int64_t> in(32), out(32);
-    for (std::size_t i = 0; i < in.size(); ++i) {
-      in[i] = input_at<std::int64_t>(rank, i, 29);
-    }
-    for (int iter = 0; iter < 3; ++iter) {
-      drive(ir::iallreduce(in.data(), out.data(), in.size(),
-                           dtype::Datatype::int64(), dtype::ReduceOp::sum, c),
+    for (int k = 0; k < kClasses; ++k) {
+      const std::size_t n = std::size_t{1} << k;
+      std::vector<std::int64_t> in(n), out(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        in[i] = input_at<std::int64_t>(rank, i, 29);
+      }
+      drive(ir::iallreduce(in.data(), out.data(), n, dtype::Datatype::int64(),
+                           dtype::ReduceOp::sum, c),
             c);
-      for (std::size_t i = 0; i < out.size(); ++i) {
+      for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(out[i],
                   expected_at<std::int64_t>(4, i, dtype::ReduceOp::sum, 29));
       }
@@ -325,12 +330,11 @@ TEST(CollIrCache, CapacityRejectsStillCorrect) {
     coll::barrier(c);
     if (rank == 0) {
       const ir::CacheStats s = ir::cache_stats(c);
-      EXPECT_EQ(s.entries, 2u);    // table capped
-      EXPECT_GE(s.rejects, 2u);    // the other ranks' keys bounced
+      EXPECT_EQ(s.entries, ir::kSchedCacheCap);  // table capped
+      EXPECT_GE(s.rejects, 1u);  // the keys past the cap bounced
     }
     w->finalize_rank(rank);
   });
-  ::unsetenv("MPX_COLL_CACHE_CAP");
 }
 
 // ---- steady-state allocation -----------------------------------------------

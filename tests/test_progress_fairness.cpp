@@ -1,5 +1,5 @@
-// Fair stage scheduling (MPX_PROGRESS_FAIR): the rotation cursor bounds how
-// long an always-productive early stage can starve later ones.
+// Fair stage scheduling (WorldConfig::progress_fair): the rotation cursor
+// bounds how long an always-productive early stage can starve later ones.
 //
 // The hostile workload is a user async hook that reports progress on every
 // poll (it completes and respawns itself, so the async stage's early-exit
@@ -86,9 +86,10 @@ TEST(ProgressFairness, TransportPolledDespiteProductiveHook) {
 }
 
 TEST(ProgressFairness, FixedOrderStarvesTransport) {
-  // Control experiment: with MPX_PROGRESS_FAIR off the same workload never
+  // Control experiment: with progress_fair off the same workload never
   // reaches the shm stage — documents exactly the failure mode rotation
-  // removes (and guards the cvar's off position still restoring seed order).
+  // removes (and guards the field's off position still restoring seed
+  // order).
   Harness h(/*fair=*/false);
   std::int32_t val = 7, out = 0;
   Request r = h.w->comm_world(1).irecv(&out, 1, dtype::Datatype::int32(),
