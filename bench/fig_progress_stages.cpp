@@ -8,7 +8,8 @@
 //
 //   ladder0           transcription of the seed engine at 0 active stages:
 //                     ranked recursive lock + hook-count gate + direct
-//                     inlined dtype/coll/async/lmt checks + devirtualized
+//                     inlined dtype/coll/async/lmt checks (the replica
+//                     keeps the seed's coll hook slot) + devirtualized
 //                     poll of a real ShmTransport + the SEED Nic empty-poll
 //                     body (clock read + cq/channel spinlock scans — the
 //                     quiet-endpoint fast path the NIC has now is part of
@@ -18,7 +19,8 @@
 //                     dispatch overhead of the registry scan vs a
 //                     hand-inlined ladder over identical stage bodies.
 //   registry_active0  the real stream_progress on an idle 1-rank World
-//                     (full stage table: dtype/coll/async/shm/lmt/nic).
+//                     (full stage table: dtype/async/shm/lmt/nic; binaries
+//                     that link the collectives add coll-exec).
 //   registry_active1  same, plus 1 registered user source that is never
 //                     idle (scan width grows by one).
 //   registry_active5  same, with 5 such sources.

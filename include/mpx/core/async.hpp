@@ -16,6 +16,10 @@
 // context — it must not invoke progress recursively (wait/test/
 // stream_progress) and should stay lightweight (§4.2). Use
 // Request::is_complete() inside poll_fn to observe MPI operations.
+//
+// This is also how parts of MPI are built on top of the core (§2.7):
+// ext::Schedule, polling generalized requests, mpx::io and the task layer
+// all register plain hooks, polled in the one hook stage.
 #pragma once
 
 #include <cstddef>
@@ -128,11 +132,5 @@ void async_start(AsyncPollFn fn, void* extra_state, const Stream& stream,
 /// C++ convenience: register a callable polled until it returns done.
 /// The callable is owned by the runtime and destroyed after done.
 void async_start(std::function<AsyncResult()> fn, const Stream& stream);
-
-/// Register a hook polled in the collective-schedules slot (stage 2 of the
-/// collated progress function, before user async things). Extension point
-/// for collective libraries — the MPIR_Progress_hook_register analog that
-/// lets "parts of MPI be built on top of a core MPI implementation" (§2.7).
-void coll_hook_start(AsyncPollFn fn, void* extra_state, const Stream& stream);
 
 }  // namespace mpx

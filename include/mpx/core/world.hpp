@@ -106,18 +106,6 @@ class World : public std::enable_shared_from_this<World> {
   /// Progress-call count of (rank, vci).
   std::uint64_t vci_progress_calls(int rank, int vci) const;
 
-  /// Per-stage progress-made counters of (rank, vci), folded by ProgressMask
-  /// bit for the classic Listing 1.1 view (stages sharing a bit — e.g. the
-  /// transport poll and the LMT copy stage, both progress_shm — sum).
-  struct StageCounters {
-    std::uint64_t dtype = 0;
-    std::uint64_t coll = 0;
-    std::uint64_t async = 0;
-    std::uint64_t shm = 0;
-    std::uint64_t net = 0;
-  };
-  StageCounters vci_stage_counters(int rank, int vci) const;
-
   /// The full compiled stage table of (rank, vci): one row per registered
   /// ProgressSource, in poll order, with its per-VCI hit/call counters.
   struct StageCounter {

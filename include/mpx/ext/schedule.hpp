@@ -12,6 +12,10 @@
 // the compiled schedules of mpx::coll::ir, which post each operation only
 // once its dependencies complete. The abl_continue_vs_async bench family
 // quantifies the difference.
+//
+// A committed schedule is an ordinary MPIX_Async hook on its stream (paper
+// §2.7: parts of MPI built on top of the core). It registers a state
+// deleter, so a World torn down while the schedule is pending frees it.
 #pragma once
 
 #include <functional>
@@ -50,8 +54,8 @@ class Schedule {
   /// still execute but are not waited on). Default: the last round.
   void mark_completion_point();
 
-  /// MPIX_Schedule_commit: hand the schedule to the progress engine and get
-  /// the tracking request back.
+  /// MPIX_Schedule_commit: register the schedule as an MPIX_Async hook on
+  /// its stream and get the tracking request back.
   static Request commit(std::unique_ptr<Schedule> sched);
 
  private:

@@ -5,7 +5,8 @@
 // related-work discussion (ROMIO, extended generalized requests [7]) is
 // about exactly this layer. mpx::io is deliberately built ENTIRELY on the
 // public extension APIs: every operation is a generalized request whose
-// progression is an MPIX_Async hook (ext::grequest_start_with_poll), so
+// progression is an MPIX_Async hook (the ext::grequest_start_with_poll
+// pattern, plus a byte count in the completion status), so
 // storage completions flow through the same stream_progress calls as
 // messages — interoperable progress in action (§2.7).
 //

@@ -211,9 +211,8 @@ void World::stream_free(Stream& stream) {
   Vci& v = vci(stream.rank(), stream.vci());
   {
     base::LockGuard<base::InstrumentedMutex> g(v.mu);
-    expects(v.asyncs.empty() && v.coll_hooks.empty() && v.posted.empty() &&
-                v.lmt.empty() && v.fence_parked.empty() &&
-                v.synth_cq.empty() &&
+    expects(v.asyncs.empty() && v.posted.empty() && v.lmt.empty() &&
+                v.fence_parked.empty() && v.synth_cq.empty() &&
                 v.active_ops.load(std::memory_order_relaxed) == 0,
             "stream_free: stream still has pending work");
     for (const core_detail::ProgressStage& st : v.stages) {
@@ -257,11 +256,10 @@ void World::finalize_rank(int rank) {
       core_detail::progress_test(v, progress_all);
       base::LockGuard<base::InstrumentedMutex> g(v.mu);
       bool idle =
-          v.asyncs.empty() && v.coll_hooks.empty() && v.lmt.empty() &&
-          v.fence_parked.empty() && v.synth_cq.empty() &&
-          v.pack_engine.idle() &&
+          v.asyncs.empty() && v.lmt.empty() && v.fence_parked.empty() &&
+          v.synth_cq.empty() && v.pack_engine.idle() &&
           v.active_ops.load(std::memory_order_relaxed) == 0 &&
-          v.inbox_asyncs.maybe_empty() && v.inbox_coll.maybe_empty();
+          v.inbox_asyncs.maybe_empty();
       // Registered sources may hold deferred work the member lists above
       // don't see (e.g. a compiled collective schedule whose requests all
       // completed but whose local reduce tail hasn't run yet).

@@ -131,15 +131,13 @@ struct Vci {
 
   // Progress subsystems, in Listing 1.1 order.
   dtype::PackEngine pack_engine MPX_GUARDED_BY(mu);   // (1) datatype engine
-  AsyncRuntime::List coll_hooks MPX_GUARDED_BY(mu);   // (2) coll schedules
-  AsyncRuntime::List asyncs MPX_GUARDED_BY(mu);       // (3) user async things
-  std::list<LmtWork> lmt MPX_GUARDED_BY(mu);          // (4a) shm LMT copies
+  AsyncRuntime::List asyncs MPX_GUARDED_BY(mu);       // (2) MPIX_Async hooks
+  std::list<LmtWork> lmt MPX_GUARDED_BY(mu);          // (3a) shm LMT copies
 
-  // Cross-thread registration mailboxes, drained at the top of each
-  // progress call (avoids nested VCI locks on spawn-to-other-stream).
-  // Internally locked; safe to push from any thread without holding `mu`.
+  // Cross-thread registration mailbox, drained at the top of each progress
+  // call (avoids nested VCI locks on spawn-to-other-stream). Internally
+  // locked; safe to push from any thread without holding `mu`.
   base::MpscQueue<AsyncThing*> inbox_asyncs;
-  base::MpscQueue<AsyncThing*> inbox_coll;
 
   // Protocol sink for transport polls (constructed by protocol.cpp before
   // the VCI is published; the sink itself must only be *invoked* under mu).
@@ -170,7 +168,7 @@ struct Vci {
   // Raw std::atomic on purpose: lock-free accounting read by fast paths,
   // not modeled protocol state (the queues they mirror are).
   std::atomic<std::int64_t> active_ops{0};  ///< in-flight p2p/coll requests — mpxlint: allow(mc-coverage)
-  std::atomic<std::int64_t> hook_count{0};  ///< linked async+coll hooks — mpxlint: allow(mc-coverage)
+  std::atomic<std::int64_t> hook_count{0};  ///< linked + mailboxed async hooks — mpxlint: allow(mc-coverage)
   /// Wait-ladder rung occupancy of blocking waits driving THIS VCI
   /// (request.cpp wires every wait loop's backoff here). The adaptive
   /// progress engine's controller reads the deltas: waiters stuck on the
@@ -183,13 +181,10 @@ struct Vci {
   /// hit/call counters mutate under `mu` — the observability that replaced
   /// the seed's stage_hits[5].
   std::vector<ProgressStage> stages MPX_GUARDED_BY(mu);
-  /// Fair-scheduling rotation cursor: index of the stage the next
-  /// progress_test scan starts from (always < stages.size()). Advanced past
-  /// the productive stage on every hit so a chatty early stage cannot
-  /// starve later ones. Unused (stays 0) when !fair.
+  /// Rotation cursor: index of the stage the next progress_test scan
+  /// starts from (always < stages.size()). Advanced past the productive
+  /// stage on every hit so a chatty early stage cannot starve later ones.
   std::uint32_t stage_cursor MPX_GUARDED_BY(mu) = 0;
-  /// WorldConfig::progress_fair, frozen at make_vci.
-  bool fair = true;  // mpxlint: allow(tsa-ratchet) immutable after publish
 };
 
 /// Per-rank state: the VCI table. Storage is fixed at max_vcis slots so the

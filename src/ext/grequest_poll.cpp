@@ -22,6 +22,15 @@ AsyncResult poll_trampoline(AsyncThing& thing) {
   return AsyncResult::done;
 }
 
+/// Drops a request whose hook was destroyed before `poll` returned true
+/// (World teardown): the user's state is released, the request stays
+/// incomplete.
+void free_pending(void* p) {
+  auto* s = static_cast<PollState*>(p);
+  if (s->free_state != nullptr) s->free_state(s->extra_state);
+  delete s;
+}
+
 }  // namespace
 
 Request grequest_start_with_poll(World& world, const Stream& stream,
@@ -32,7 +41,7 @@ Request grequest_start_with_poll(World& world, const Stream& stream,
   auto* s = new PollState{poll, free_state, extra_state, Request()};
   s->greq = world.grequest_start(stream, core_detail::GrequestFns{});
   Request out = s->greq;
-  async_start(&poll_trampoline, s, stream);
+  async_start(&poll_trampoline, s, stream, &free_pending);
   return out;
 }
 

@@ -119,7 +119,9 @@ Request submit(const std::shared_ptr<SimDisk>& disk, const Stream& stream,
   op->due = w.wtime() + m.access_latency + bytes / bw;
   op->greq = w.grequest_start(stream, core_detail::GrequestFns{});
   Request handle = op->greq;
-  async_start(&io_hook, op.release(), stream);
+  // The deleter frees an op still pending when the World is torn down.
+  async_start(&io_hook, op.release(), stream,
+              [](void* p) { delete static_cast<IoOp*>(p); });
   return handle;
 }
 

@@ -92,6 +92,23 @@ TEST(Grequest, PollingGrequestExtension) {
   EXPECT_TRUE(st.freed);
 }
 
+TEST(Grequest, PendingPollingGrequestFreedAtTeardown) {
+  // A World torn down while a polling greq is still pending drops its hook:
+  // the user's free_state runs once and no request reference leaks.
+  const long base_live = core_detail::RequestImpl::live_count().load();
+  int frees = 0;
+  {
+    auto w = World::create(WorldConfig{.nranks = 1});
+    Request r = ext::grequest_start_with_poll(
+        *w, w->null_stream(0), [](void*) { return false; },
+        [](void* s) { ++*static_cast<int*>(s); }, &frees);
+    stream_progress(w->null_stream(0));
+    EXPECT_FALSE(r.is_complete());
+  }
+  EXPECT_EQ(frees, 1);
+  EXPECT_EQ(core_detail::RequestImpl::live_count().load(), base_live);
+}
+
 TEST(Grequest, CancelCallback) {
   auto w = World::create(WorldConfig{.nranks = 1});
   static std::atomic<int> cancels{0};

@@ -113,6 +113,23 @@ TEST(Schedule, RoundsGateLocalOps) {
   EXPECT_EQ(acc, 42);
 }
 
+TEST(Schedule, PendingScheduleFreedAtTeardown) {
+  // A World torn down while a committed schedule still waits on a request
+  // that never completes frees the schedule and the requests it holds.
+  const long base_live = core_detail::RequestImpl::live_count().load();
+  {
+    auto w = World::create(WorldConfig{.nranks = 2});
+    std::int32_t never = 0;
+    auto sched = std::make_unique<ext::Schedule>(*w, w->null_stream(1));
+    sched->add_operation(w->comm_world(1).irecv(
+        &never, 1, dtype::Datatype::int32(), /*src=*/0, /*tag=*/0));
+    Request handle = ext::Schedule::commit(std::move(sched));
+    stream_progress(w->null_stream(1));
+    EXPECT_FALSE(handle.is_complete());
+  }
+  EXPECT_EQ(core_detail::RequestImpl::live_count().load(), base_live);
+}
+
 TEST(Schedule, CompletionPointBeforeLastRound) {
   auto w = World::create(WorldConfig{.nranks = 1});
   std::atomic<int> late_round_ran{0};
