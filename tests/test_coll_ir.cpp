@@ -71,8 +71,13 @@ std::uint64_t total_pool_misses() {
 
 // ---- property sweep: every algorithm vs the serial reference ---------------
 
+// gtest names each case by the raw bytes of its parameter, so the padding
+// after `nranks` is an explicit zero member: left implicit, it holds stack
+// garbage and the case names change from build to build.
 struct IrParam {
+  IrParam(int n, std::size_t c) : nranks(n), count(c) {}
   int nranks;
+  std::int32_t zero_pad = 0;
   std::size_t count;
 };
 

@@ -122,8 +122,13 @@ TEST(Datatype, InvalidUsageThrows) {
 
 // --- property-style round trips across constructors and chunk sizes ---
 
+// gtest names each case by the raw bytes of its parameter; the padding after
+// `kind` is an explicit zero member so the names do not carry stack garbage.
 struct RoundTripParam {
+  RoundTripParam(int k, std::size_t n, std::size_t c)
+      : kind(k), count(n), chunk(c) {}
   int kind;          // 0=contig 1=vector 2=indexed 3=struct-like
+  std::int32_t zero_pad = 0;
   std::size_t count;
   std::size_t chunk;  // segment step size in bytes (0 = one shot)
 };
