@@ -126,7 +126,6 @@ WorldConfig overlap_config() {
 struct EngineReport {
   std::uint64_t promotions = 0;
   std::uint64_t demotions = 0;
-  std::uint64_t steals = 0;
   std::uint64_t idle_sleep_delta = 0;
 };
 
@@ -138,7 +137,6 @@ EngineReport drain_and_park(task::ProgressEngine& eng) {
   const auto s2 = eng.stats();
   rep.promotions = s2.promotions;
   rep.demotions = s2.demotions;
-  rep.steals = s2.steals;
   rep.idle_sleep_delta = s2.worker_rungs.sleep - s1.worker_rungs.sleep;
   return rep;
 }
@@ -342,7 +340,6 @@ int main() {
              {"iters", double(halo_iters)},
              {"promotions", double(er.promotions)},
              {"demotions", double(er.demotions)},
-             {"steals", double(er.steals)},
              {"idle_sleep_delta", double(er.idle_sleep_delta)}});
       } else {
         mpx_bench::json_emit("overlap_halo", name_of(strat),
@@ -361,7 +358,6 @@ int main() {
              {"rounds", double(pipe_rounds)},
              {"promotions", double(er.promotions)},
              {"demotions", double(er.demotions)},
-             {"steals", double(er.steals)},
              {"idle_sleep_delta", double(er.idle_sleep_delta)}});
       } else {
         mpx_bench::json_emit("overlap_pipeline", name_of(strat),

@@ -25,33 +25,22 @@ class Transport;
 /// Tuning of the adaptive progress engine (task::ProgressEngine). Plain
 /// data held by WorldConfig so the engine, its tests, and its benches share
 /// one knob set; the engine itself lives in the task layer and reads this
-/// through World::config().
+/// through World::config(). The fixed decision thresholds are constants
+/// next to task::EnginePolicy.
 struct ProgressEngineConfig {
   /// Controller epoch length in microseconds: how often the per-VCI
   /// windowed rates are sampled and promote/demote decisions made.
   int epoch_us = 500;
 
-  /// Ceiling on engine-owned threads polling VCIs (shared pool workers +
-  /// dedicated workers; the controller itself is not counted). Promotions
-  /// that would exceed it are deferred, not dropped.
+  /// Ceiling on engine-owned threads polling VCIs (the controller itself
+  /// is not counted). At the ceiling a newly starved VCI shares an
+  /// existing worker, and a VCI dedicated to that worker goes back to
+  /// shared.
   int max_workers = 2;
-
-  /// Promote inline -> shared when a VCI has work pending but the
-  /// application issued fewer than this many progress calls during the
-  /// epoch (the app is not driving its own progress).
-  int promote_app_polls = 4;
 
   /// Promote shared -> dedicated when the engine's own polls on the VCI
   /// hit (made progress) at or above this rate over the epoch.
   double dedicate_hit_rate = 0.5;
-
-  /// Demote one step (dedicated -> shared -> inline) when the VCI had no
-  /// pending work and the engine hit rate fell to or below this.
-  double demote_hit_rate = 0.01;
-
-  /// Consecutive epochs a promote/demote signal must persist before the
-  /// transition is taken (flap damping at the thresholds).
-  int hysteresis = 2;
 };
 
 /// Configuration for a World (one simulated MPI job).

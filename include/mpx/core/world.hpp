@@ -127,8 +127,10 @@ class World : public std::enable_shared_from_this<World> {
   };
   WaitRungCounters vci_wait_rungs(int rank, int vci) const;
 
-  /// In-flight p2p/coll request count of (rank, vci) — the "is there work
-  /// pending on this endpoint" signal (lock-free relaxed read).
+  /// Pending work on (rank, vci): in-flight p2p/coll requests plus
+  /// registered async hooks (linked or still in the mailbox). It is the
+  /// progress engine's "is there work pending on this endpoint" signal;
+  /// lock-free relaxed reads, so the sum may lag a concurrent change.
   std::int64_t vci_active_ops(int rank, int vci) const;
 
   /// Matching-engine depths of (rank, vci): pending posted receives and

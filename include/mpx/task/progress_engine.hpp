@@ -10,23 +10,29 @@
 // and moves each attached VCI between three modes:
 //
 //   inline    — the application polls; the engine stays away entirely.
-//   shared    — the VCI rides in a pooled worker's rotation; the worker
-//               multiplexes several lukewarm VCIs via a work-stealing
-//               deque (steal_deque.hpp), so an imbalanced pool rebalances
-//               without the controller in the loop.
-//   dedicated — one worker pins to this single hot VCI (the classic
+//   shared    — a pooled worker polls the VCI in turn with the other
+//               slots it owns, one slot per loop iteration.
+//   dedicated — the VCI is the only slot its worker owns (the classic
 //               async-progress-thread shape, paid only while it earns).
+//
+// Work distribution is one owner index per slot: -1 while inline,
+// otherwise the index of the one worker that polls it. Only the controller
+// writes it (under attach_mu_); workers only read it. Every attached slot
+// that is not inline has exactly one owner at all times: at the
+// max_workers ceiling a newly starved VCI goes onto an existing worker
+// (whose dedicated slot, if any, drops back to shared) — placement is
+// never deferred, so no VCI with pending work is left unpolled.
 //
 // A controller thread ticks every epoch_us (WorldConfig::progress_engine)
 // and samples, per attached VCI: application progress calls (total
-// progress_calls minus the engine's own polls), pending work (active_ops),
-// the engine's own poll/hit rate, and the wait-ladder rung occupancy from
-// wait_policy.hpp (waiters that fell off the spin rung are making empty
-// polls — background progress cuts their latency). Transitions take
-// `hysteresis` consecutive epochs of the same signal, so the controller
-// never flaps at a threshold; promotions that would exceed `max_workers`
-// are deferred, not dropped. The decision rules live in EnginePolicy, pure
-// and deterministic, so tests drive them with injected samples.
+// progress_calls minus the engine's own polls), pending work (in-flight
+// requests plus async hooks), the engine's own poll/hit rate, and the
+// wait-ladder rung occupancy from wait_policy.hpp (waiters that fell off
+// the spin rung are making empty polls — background progress cuts their
+// latency). Transitions take kEngineHysteresis consecutive epochs of the
+// same signal, so the controller never flaps at a threshold. The decision
+// rules live in EnginePolicy, pure and deterministic, so tests drive them
+// with injected samples.
 //
 // Workers call core_detail::vci_poll on the resolved Vci — the same
 // compiled stage table every progress_test scan runs, no new virtual hops
@@ -42,22 +48,33 @@
 #include <mutex>
 #include <vector>
 
-#include "mpx/base/queue.hpp"
 #include "mpx/base/thread.hpp"
 #include "mpx/core/config.hpp"
 #include "mpx/core/stream.hpp"
 #include "mpx/core/wait_policy.hpp"
 #include "mpx/core/world.hpp"
-#include "mpx/task/steal_deque.hpp"
 
 namespace mpx::task {
 
 /// Who drives progress on an attached VCI right now.
 enum class EngineMode : std::uint8_t {
   inline_poll = 0,  ///< application threads poll; engine hands off
-  shared = 1,       ///< absorbed into a pooled worker's steal rotation
-  dedicated = 2,    ///< one worker pinned to this VCI alone
+  shared = 1,       ///< polled in turn with the other slots of its worker
+  dedicated = 2,    ///< the only slot its worker owns
 };
+
+/// Promote inline -> shared when a VCI has work pending but the
+/// application issued fewer than this many progress calls in the epoch
+/// (the app is not driving its own progress).
+inline constexpr int kEnginePromoteAppPolls = 4;
+
+/// Demote one step (dedicated -> shared -> inline) when the VCI had no
+/// pending work and the engine hit rate fell to or below this.
+inline constexpr double kEngineDemoteHitRate = 0.01;
+
+/// Consecutive epochs a promote/demote signal must persist before the
+/// transition is taken (flap damping at the thresholds).
+inline constexpr int kEngineHysteresis = 2;
 
 /// One epoch's observations for one VCI, as the controller samples them
 /// (tests inject these directly into EnginePolicy).
@@ -67,7 +84,8 @@ struct EngineSample {
   /// Engine polls on the VCI this epoch, and how many made progress.
   std::uint64_t engine_polls = 0;
   std::uint64_t engine_hits = 0;
-  /// In-flight requests on the VCI at sample time (is work pending?).
+  /// In-flight requests plus async hooks on the VCI at sample time (is
+  /// work pending?).
   std::int64_t pending = 0;
   /// Wait-ladder pauses by blocking waiters on this VCI this epoch that
   /// landed past the spin rung (yield + sleep): polls happening, but
@@ -76,7 +94,7 @@ struct EngineSample {
 };
 
 /// The promote/demote decision rules, factored out of the runtime so tests
-/// prove the transitions, hysteresis, and ceiling deferral with injected
+/// prove the transitions, hysteresis, and growth gating with injected
 /// samples. One instance per attached VCI (it carries the streak state);
 /// deterministic: decide() depends only on construction config, call
 /// history, and arguments.
@@ -85,9 +103,10 @@ class EnginePolicy {
   explicit EnginePolicy(const ProgressEngineConfig& cfg) : cfg_(cfg) {}
 
   /// One epoch's decision. `can_grow` reports whether the worker budget
-  /// admits the promotion the policy may want this epoch (controller
-  /// enforces max_workers); a matured promote streak with
-  /// can_grow == false is held, not reset — the promotion is deferred.
+  /// admits the promotion the policy may want this epoch; a matured
+  /// promote streak with can_grow == false is held, not reset. The
+  /// controller always admits inline -> shared and gates only
+  /// shared -> dedicated on the max_workers ceiling.
   EngineMode decide(EngineMode current, const EngineSample& s, bool can_grow);
 
  private:
@@ -142,7 +161,9 @@ class ProgressEngine {
     std::uint64_t epochs = 0;      ///< controller ticks so far
     std::uint64_t promotions = 0;  ///< inline->shared + shared->dedicated
     std::uint64_t demotions = 0;   ///< dedicated->shared + shared->inline
-    std::uint64_t steals = 0;      ///< successful cross-worker deque steals
+    /// Always 0; kept because perfbench/src/counters.cpp reads it; remove
+    /// at the next benchmark change.
+    std::uint64_t steals = 0;
     int workers = 0;               ///< worker threads spawned so far
     /// Aggregate worker idle-backoff rung occupancy (monotonic). A parked
     /// engine accumulates `sleep` — the not-burning-a-core evidence.
@@ -153,13 +174,18 @@ class ProgressEngine {
  private:
   struct Slot;
   struct Worker;
+  struct Load {
+    int slots = 0;    ///< slots the worker owns
+    int pinned = -1;  ///< index of its dedicated slot; -1 if none
+  };
 
   void controller_loop();
   void worker_loop(Worker& w);
   void sample_and_decide();
-  void apply_transition(int idx, Slot& s, EngineMode next);
+  void apply_transition(Slot& s, EngineMode next);
   int poll_slot(Slot& s);
-  bool assign_to_worker(int slot_idx);
+  Load load_locked(int worker) const;
+  int place_locked();
   int spawn_worker_locked();
 
   World& world_;
@@ -183,7 +209,6 @@ class ProgressEngine {
   std::atomic<std::uint64_t> epochs_{0};
   std::atomic<std::uint64_t> promotions_{0};
   std::atomic<std::uint64_t> demotions_{0};
-  std::atomic<std::uint64_t> steals_{0};
 
   base::ScopedThread controller_;
 };

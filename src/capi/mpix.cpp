@@ -3,6 +3,7 @@
 // codes, never exceptions).
 #include "mpx/capi/mpix.h"
 
+#include <memory>
 #include <new>
 
 #include "mpx/coll/coll.hpp"
@@ -89,6 +90,28 @@ mpx::AsyncResult bridge_poll(mpx::AsyncThing& thing) {
     return mpx::AsyncResult::done;
   }
   return mpx::AsyncResult::pending;
+}
+
+void delete_bridge(void* bridge) { delete static_cast<AsyncBridge*>(bridge); }
+
+/// Register a C hook on `stream`, or stage it as a spawn of `parent` when
+/// one is given. The bridge is owned here until registration succeeds;
+/// after that bridge_poll frees it on done, and delete_bridge frees it if
+/// the hook is dropped while pending (stream free, World teardown).
+int start_bridged(MPIX_Async_poll_function* poll_fn, void* extra_state,
+                  const mpx::Stream& stream,
+                  mpx::AsyncThing* parent = nullptr) {
+  return guarded([&] {
+    auto bridge =
+        std::make_unique<AsyncBridge>(AsyncBridge{poll_fn, extra_state});
+    if (parent != nullptr) {
+      parent->spawn(&bridge_poll, bridge.get(), stream, &delete_bridge);
+    } else {
+      mpx::async_start(&bridge_poll, bridge.get(), stream, &delete_bridge);
+    }
+    bridge.release();
+    return MPIX_SUCCESS;
+  });
 }
 
 }  // namespace
@@ -232,21 +255,13 @@ int MPIX_Comm_progress(MPIX_Comm comm) {
 int MPIX_Async_start(MPIX_Async_poll_function* poll_fn, void* extra_state,
                      MPIX_Stream stream) {
   if (poll_fn == nullptr || stream == nullptr) return MPIX_ERR_ARG;
-  return guarded([&] {
-    mpx::async_start(&bridge_poll, new AsyncBridge{poll_fn, extra_state},
-                     stream->s);
-    return MPIX_SUCCESS;
-  });
+  return start_bridged(poll_fn, extra_state, stream->s);
 }
 
 int MPIX_Async_start_on_comm(MPIX_Async_poll_function* poll_fn,
                              void* extra_state, MPIX_Comm comm) {
   if (poll_fn == nullptr || comm == nullptr) return MPIX_ERR_ARG;
-  return guarded([&] {
-    mpx::async_start(&bridge_poll, new AsyncBridge{poll_fn, extra_state},
-                     comm->c.stream());
-    return MPIX_SUCCESS;
-  });
+  return start_bridged(poll_fn, extra_state, comm->c.stream());
 }
 
 void* MPIX_Async_get_state(MPIX_Async_thing thing) {
@@ -258,13 +273,10 @@ int MPIX_Async_spawn(MPIX_Async_thing thing,
                      MPIX_Async_poll_function* poll_fn, void* extra_state,
                      MPIX_Stream stream) {
   if (thing == nullptr || poll_fn == nullptr) return MPIX_ERR_ARG;
-  return guarded([&] {
-    auto* t = reinterpret_cast<mpx::AsyncThing*>(thing);
-    const mpx::Stream s =
-        stream != MPIX_STREAM_NULL ? stream->s : t->stream();
-    t->spawn(&bridge_poll, new AsyncBridge{poll_fn, extra_state}, s);
-    return MPIX_SUCCESS;
-  });
+  auto* t = reinterpret_cast<mpx::AsyncThing*>(thing);
+  return start_bridged(poll_fn, extra_state,
+                       stream != MPIX_STREAM_NULL ? stream->s : t->stream(),
+                       t);
 }
 
 int MPIX_Request_is_complete(MPIX_Request request) {

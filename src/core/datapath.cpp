@@ -114,7 +114,9 @@ World::WaitRungCounters World::vci_wait_rungs(int rank, int vci_id) const {
 }
 
 std::int64_t World::vci_active_ops(int rank, int vci_id) const {
-  return vci_ptr(rank, vci_id)->active_ops.load(std::memory_order_relaxed);
+  const Vci& v = *vci_ptr(rank, vci_id);
+  return v.active_ops.load(std::memory_order_relaxed) +
+         v.hook_count.load(std::memory_order_relaxed);
 }
 
 World::MatchCounters World::vci_match_counters(int rank, int vci_id) const {

@@ -9,9 +9,10 @@
 //     that hold no runtime lock, so it cannot participate in a lock cycle.
 //   - Workers never take attach_mu_. They navigate the slot table through
 //     the release-published slot_count_ (the table storage never moves)
-//     and read each slot's mode atomically; stale deque entries whose slot
-//     left shared mode are dropped at pop time (`in_rotation` then allows
-//     the controller to re-enqueue the slot later, exactly-one-copy).
+//     and poll the slots whose owner index names them. Only the
+//     controller writes an owner index, so a slot is in at most one
+//     worker's rotation; a worker that read an owner just before the
+//     controller moved the slot polls it once more, which is harmless.
 //   - The poll itself is core_detail::vci_poll — the compiled stage table
 //     behind every progress_test call. Workers hold no lock around it and
 //     block nowhere; idle workers descend the spin/yield/sleep ladder.
@@ -41,10 +42,9 @@ struct ProgressEngine::Slot {
 
   std::atomic<EngineMode> mode{EngineMode::inline_poll};
   std::atomic<bool> detached{false};
-  /// True while an index for this slot lives in some worker's inbox or
-  /// deque (exactly one copy in the whole pool). Workers clear it when
-  /// they drop a stale entry; the controller's re-enqueue CASes it back.
-  std::atomic<bool> in_rotation{false};
+  /// Index of the worker that polls this slot; -1 while inline. Written
+  /// only by the controller (attach_mu_ held), read by every worker.
+  std::atomic<int> owner{-1};
 
   std::atomic<std::uint64_t> engine_polls{0};
   std::atomic<std::uint64_t> engine_hits{0};
@@ -57,27 +57,18 @@ struct ProgressEngine::Slot {
   EnginePolicy policy;
 };
 
-namespace {
-/// Slots in each shared worker's work-stealing deque of VCI assignments.
-constexpr std::size_t kDequeCapacity = 64;
-}  // namespace
-
 struct ProgressEngine::Worker {
-  explicit Worker(int idx) : index(idx), deque(kDequeCapacity) {}
+  explicit Worker(int idx) : index(idx) {}
 
   const int index;
-  StealDeque<int> deque;            ///< this worker's shared rotation
-  base::MpscQueue<int> inbox;       ///< controller -> worker assignments
-  std::atomic<int> dedicated{-1};   ///< pinned slot index; -1 = shared role
   core_detail::WaitLadderCounters rungs;
-  base::ScopedThread thread;        ///< started last, by spawn_worker_locked
+  base::ScopedThread thread;  ///< started last, by spawn_worker_locked
 };
 
 // ---------------------------------------------------------------- policy --
 
 EngineMode EnginePolicy::decide(EngineMode current, const EngineSample& s,
                                 bool can_grow) {
-  const int hysteresis = cfg_.hysteresis < 1 ? 1 : cfg_.hysteresis;
   const double hit_rate =
       s.engine_polls == 0
           ? 0.0
@@ -87,22 +78,18 @@ EngineMode EnginePolicy::decide(EngineMode current, const EngineSample& s,
   // either the app barely polls (it is off computing) or its blocking
   // waiters fell off the spin rung (polling, but empty and backed off).
   const bool app_starved =
-      s.pending > 0 && (s.app_polls <
-                            static_cast<std::uint64_t>(
-                                cfg_.promote_app_polls < 0
-                                    ? 0
-                                    : cfg_.promote_app_polls) ||
-                        s.wait_backoffs > 0);
-  const bool gone_cold = s.pending == 0 && hit_rate <= cfg_.demote_hit_rate;
+      s.pending > 0 &&
+      (s.app_polls < static_cast<std::uint64_t>(kEnginePromoteAppPolls) ||
+       s.wait_backoffs > 0);
+  const bool gone_cold = s.pending == 0 && hit_rate <= kEngineDemoteHitRate;
 
   switch (current) {
     case EngineMode::inline_poll:
       demote_streak_ = 0;
       if (app_starved) {
-        if (promote_streak_ < hysteresis) ++promote_streak_;
-        // A matured streak blocked by the worker ceiling holds (deferred
-        // promotion), it does not reset.
-        if (promote_streak_ >= hysteresis && can_grow) {
+        if (promote_streak_ < kEngineHysteresis) ++promote_streak_;
+        // A matured streak blocked by can_grow holds, it does not reset.
+        if (promote_streak_ >= kEngineHysteresis && can_grow) {
           promote_streak_ = 0;
           return EngineMode::shared;
         }
@@ -114,7 +101,7 @@ EngineMode EnginePolicy::decide(EngineMode current, const EngineSample& s,
     case EngineMode::shared:
       if (gone_cold) {
         promote_streak_ = 0;
-        if (++demote_streak_ >= hysteresis) {
+        if (++demote_streak_ >= kEngineHysteresis) {
           demote_streak_ = 0;
           return EngineMode::inline_poll;
         }
@@ -122,8 +109,8 @@ EngineMode EnginePolicy::decide(EngineMode current, const EngineSample& s,
       }
       demote_streak_ = 0;
       if (s.engine_polls > 0 && hit_rate >= cfg_.dedicate_hit_rate) {
-        if (promote_streak_ < hysteresis) ++promote_streak_;
-        if (promote_streak_ >= hysteresis && can_grow) {
+        if (promote_streak_ < kEngineHysteresis) ++promote_streak_;
+        if (promote_streak_ >= kEngineHysteresis && can_grow) {
           promote_streak_ = 0;
           return EngineMode::dedicated;
         }
@@ -135,7 +122,7 @@ EngineMode EnginePolicy::decide(EngineMode current, const EngineSample& s,
     case EngineMode::dedicated:
       promote_streak_ = 0;
       if (gone_cold) {
-        if (++demote_streak_ >= hysteresis) {
+        if (++demote_streak_ >= kEngineHysteresis) {
           demote_streak_ = 0;
           return EngineMode::shared;
         }
@@ -231,13 +218,7 @@ void ProgressEngine::detach(const Stream& stream) {
     if (s.rank != stream.rank() || s.id != stream.vci()) continue;
     s.detached.store(true, std::memory_order_relaxed);
     s.mode.store(EngineMode::inline_poll, std::memory_order_release);
-    for (int wi = 0, nw = worker_count_.load(std::memory_order_relaxed);
-         wi < nw; ++wi) {
-      Worker& w = *workers_[static_cast<std::size_t>(wi)];
-      int expected = i;
-      w.dedicated.compare_exchange_strong(expected, -1,
-                                          std::memory_order_acq_rel);
-    }
+    s.owner.store(-1, std::memory_order_release);
     return;
   }
 }
@@ -272,7 +253,6 @@ ProgressEngine::Stats ProgressEngine::stats() const {
   out.epochs = epochs_.load(std::memory_order_relaxed);
   out.promotions = promotions_.load(std::memory_order_relaxed);
   out.demotions = demotions_.load(std::memory_order_relaxed);
-  out.steals = steals_.load(std::memory_order_relaxed);
   out.workers = worker_count_.load(std::memory_order_relaxed);
   for (int wi = 0; wi < out.workers; ++wi) {
     const auto snap = workers_[static_cast<std::size_t>(wi)]->rungs.snapshot();
@@ -296,124 +276,89 @@ int ProgressEngine::spawn_worker_locked() {
   auto w = std::make_unique<Worker>(n);
   Worker* raw = w.get();
   workers_[static_cast<std::size_t>(n)] = std::move(w);
-  // Publish the table entry before the thread starts and before other
-  // workers may steal from index n.
+  // Publish the table entry before the thread starts, so stats() and
+  // stop() see every running worker.
   worker_count_.store(n + 1, std::memory_order_release);
   raw->thread = base::ScopedThread([this, raw] { worker_loop(*raw); });
   return n;
 }
 
-bool ProgressEngine::assign_to_worker(int slot_idx) {
-  // attach_mu_ held. Exactly-one-copy: only the false->true winner may
-  // enqueue the index anywhere.
-  Slot& s = *slots_[static_cast<std::size_t>(slot_idx)];
-  bool expected = false;
-  if (!s.in_rotation.compare_exchange_strong(expected, true,
-                                             std::memory_order_acq_rel)) {
-    return true;  // already riding in some deque
-  }
-  const int nw = worker_count_.load(std::memory_order_relaxed);
-  // Spread assignments over shared-role workers; spawn one if none exists.
-  for (int probe = 0; probe < nw; ++probe) {
-    const int wi = (slot_idx + probe) % nw;
-    Worker& w = *workers_[static_cast<std::size_t>(wi)];
-    if (w.dedicated.load(std::memory_order_relaxed) < 0) {
-      w.inbox.push(std::move(slot_idx));
-      return true;
+ProgressEngine::Load ProgressEngine::load_locked(int worker) const {
+  // attach_mu_ held: owner and mode only change under it.
+  Load load;
+  for (int i = 0, n = slot_count_.load(std::memory_order_relaxed); i < n;
+       ++i) {
+    const Slot& s = *slots_[static_cast<std::size_t>(i)];
+    if (s.owner.load(std::memory_order_relaxed) != worker) continue;
+    ++load.slots;
+    if (s.mode.load(std::memory_order_relaxed) == EngineMode::dedicated) {
+      load.pinned = i;
     }
   }
-  if (nw < cfg_.max_workers) {
-    const int wi = spawn_worker_locked();
-    workers_[static_cast<std::size_t>(wi)]->inbox.push(std::move(slot_idx));
-    return true;
-  }
-  s.in_rotation.store(false, std::memory_order_release);
-  return false;
+  return load;
 }
 
-void ProgressEngine::apply_transition(int idx, Slot& s, EngineMode next) {
+int ProgressEngine::place_locked() {
+  // attach_mu_ held. The least-loaded worker without a dedicated slot;
+  // else a new worker while the ceiling allows. At the ceiling every
+  // worker is pinned: share worker 0 and send its dedicated slot back to
+  // shared, so the new slot is polled now instead of waiting for a worker
+  // to free up.
+  const int nw = worker_count_.load(std::memory_order_relaxed);
+  int best = -1;
+  int best_slots = 0;
+  for (int wi = 0; wi < nw; ++wi) {
+    const Load load = load_locked(wi);
+    if (load.pinned < 0 && (best < 0 || load.slots < best_slots)) {
+      best = wi;
+      best_slots = load.slots;
+    }
+  }
+  if (best >= 0) return best;
+  if (nw < cfg_.max_workers) return spawn_worker_locked();
+  Slot& pinned = *slots_[static_cast<std::size_t>(load_locked(0).pinned)];
+  pinned.mode.store(EngineMode::shared, std::memory_order_release);
+  demotions_.fetch_add(1, std::memory_order_relaxed);
+  return 0;
+}
+
+void ProgressEngine::apply_transition(Slot& s, EngineMode next) {
   // attach_mu_ held (controller only).
   const EngineMode cur = s.mode.load(std::memory_order_relaxed);
   if (next == cur) return;
   switch (next) {
     case EngineMode::shared:
       if (cur == EngineMode::dedicated) {
-        // Release the pinned worker back to the shared pool.
-        for (int wi = 0, nw = worker_count_.load(std::memory_order_relaxed);
-             wi < nw; ++wi) {
-          Worker& w = *workers_[static_cast<std::size_t>(wi)];
-          int expected = idx;
-          w.dedicated.compare_exchange_strong(expected, -1,
-                                              std::memory_order_acq_rel);
-        }
+        // The slot stays on its worker, which may now take others.
         demotions_.fetch_add(1, std::memory_order_relaxed);
       } else {
+        s.owner.store(place_locked(), std::memory_order_release);
         promotions_.fetch_add(1, std::memory_order_relaxed);
       }
-      s.mode.store(EngineMode::shared, std::memory_order_release);
-      assign_to_worker(idx);
       break;
 
     case EngineMode::dedicated: {
-      // Pick a worker to pin: spawn when the ceiling allows, otherwise
-      // convert a shared-role worker (the controller only promotes to
-      // dedicated when that leaves no shared slot stranded).
-      int wi = -1;
-      const int nw = worker_count_.load(std::memory_order_relaxed);
-      if (nw < cfg_.max_workers) {
-        wi = spawn_worker_locked();
-      } else {
-        for (int i = 0; i < nw; ++i) {
-          if (workers_[static_cast<std::size_t>(i)]->dedicated.load(
-                  std::memory_order_relaxed) < 0) {
-            wi = i;
-            break;
-          }
-        }
+      // decide() only dedicates with can_grow: either the owner polls
+      // nothing else and simply keeps the slot, or a new worker takes it.
+      const int owner = s.owner.load(std::memory_order_relaxed);
+      if (load_locked(owner).slots > 1) {
+        s.owner.store(spawn_worker_locked(), std::memory_order_release);
       }
-      if (wi < 0) return;  // no worker available; keep current mode
-      Worker& w = *workers_[static_cast<std::size_t>(wi)];
-      // A converted shared worker stops popping; orphan its queued
-      // assignments so the controller can re-enqueue them elsewhere.
-      while (auto stale = w.deque.try_steal()) {
-        slots_[static_cast<std::size_t>(*stale)]->in_rotation.store(
-            false, std::memory_order_release);
-      }
-      while (auto stale = w.inbox.try_pop()) {
-        slots_[static_cast<std::size_t>(*stale)]->in_rotation.store(
-            false, std::memory_order_release);
-      }
-      s.mode.store(EngineMode::dedicated, std::memory_order_release);
-      w.dedicated.store(idx, std::memory_order_release);
       promotions_.fetch_add(1, std::memory_order_relaxed);
       break;
     }
 
     case EngineMode::inline_poll:
-      s.mode.store(EngineMode::inline_poll, std::memory_order_release);
+      s.owner.store(-1, std::memory_order_release);
       demotions_.fetch_add(1, std::memory_order_relaxed);
-      // Deque copies drain lazily: workers drop non-shared slots at pop.
       break;
   }
+  s.mode.store(next, std::memory_order_release);
 }
 
 void ProgressEngine::sample_and_decide() {
   std::lock_guard<std::mutex> g(attach_mu_);
   const int n = slot_count_.load(std::memory_order_relaxed);
-  const int nw = worker_count_.load(std::memory_order_relaxed);
-
-  int dedicated_slots = 0;
-  int shared_slots = 0;
-  for (int i = 0; i < n; ++i) {
-    Slot& s = *slots_[static_cast<std::size_t>(i)];
-    if (s.detached.load(std::memory_order_relaxed)) continue;
-    switch (s.mode.load(std::memory_order_relaxed)) {
-      case EngineMode::shared: ++shared_slots; break;
-      case EngineMode::dedicated: ++dedicated_slots; break;
-      case EngineMode::inline_poll: break;
-    }
-  }
-
   for (int i = 0; i < n; ++i) {
     Slot& s = *slots_[static_cast<std::size_t>(i)];
     if (s.detached.load(std::memory_order_relaxed)) continue;
@@ -436,51 +381,15 @@ void ProgressEngine::sample_and_decide() {
     s.prev_engine_hits = eh;
     s.prev_rungs = rungs;
 
+    // Sharing a worker is always possible (place_locked never defers).
+    // Dedication needs a new worker, or an owner that polls nothing else.
     const EngineMode cur = s.mode.load(std::memory_order_relaxed);
-    bool can_grow = true;
-    if (cur == EngineMode::inline_poll) {
-      // Needs a shared-role worker: one exists, or one can be spawned.
-      bool have_shared_worker = false;
-      for (int wi = 0; wi < worker_count_.load(std::memory_order_relaxed);
-           ++wi) {
-        if (workers_[static_cast<std::size_t>(wi)]->dedicated.load(
-                std::memory_order_relaxed) < 0) {
-          have_shared_worker = true;
-          break;
-        }
-      }
-      can_grow = have_shared_worker ||
-                 worker_count_.load(std::memory_order_relaxed) <
-                     cfg_.max_workers;
-    } else if (cur == EngineMode::shared) {
-      // Dedication needs a fresh worker, or may convert a shared worker
-      // only when no OTHER shared slot would be stranded.
-      can_grow = worker_count_.load(std::memory_order_relaxed) <
-                     cfg_.max_workers ||
-                 shared_slots <= 1;
-    }
-
-    const EngineMode next = s.policy.decide(cur, smp, can_grow);
-    if (next != cur) {
-      if (cur == EngineMode::shared) --shared_slots;
-      if (cur == EngineMode::dedicated) --dedicated_slots;
-      apply_transition(i, s, next);
-      const EngineMode now = s.mode.load(std::memory_order_relaxed);
-      if (now == EngineMode::shared) ++shared_slots;
-      if (now == EngineMode::dedicated) ++dedicated_slots;
-    } else if (cur == EngineMode::shared &&
-               !s.in_rotation.load(std::memory_order_acquire)) {
-      // Heal a stranded shared slot. Two ways one arises: a worker's
-      // re-push hit a full deque, or a drop raced a re-promotion (the
-      // worker popped the entry, the controller saw in_rotation still
-      // true and assumed the slot was riding, then the worker dropped
-      // it). in_rotation == false guarantees no live copy exists, so
-      // re-enqueueing cannot violate exactly-one-copy.
-      assign_to_worker(i);
-    }
+    const bool can_grow =
+        cur != EngineMode::shared ||
+        worker_count_.load(std::memory_order_relaxed) < cfg_.max_workers ||
+        load_locked(s.owner.load(std::memory_order_relaxed)).slots == 1;
+    apply_transition(s, s.policy.decide(cur, smp, can_grow));
   }
-  (void)nw;
-  (void)dedicated_slots;
 }
 
 void ProgressEngine::controller_loop() {
@@ -504,48 +413,19 @@ void ProgressEngine::controller_loop() {
 void ProgressEngine::worker_loop(Worker& w) {
   base::set_current_thread_name("mpx-engine-" + std::to_string(w.index));
   core_detail::WaitBackoff backoff{worker_wait_, &w.rungs};
+  // Round-robin over the slots this worker owns: each iteration polls the
+  // first owned slot at or after `cursor`, then resumes one past it.
+  int cursor = 0;
   while (!stop_.load(std::memory_order_acquire)) {
     int made = 0;
-    const int pinned = w.dedicated.load(std::memory_order_acquire);
-    if (pinned >= 0) {
-      made = poll_slot(*slots_[static_cast<std::size_t>(pinned)]);
-    } else {
-      // Move controller handoffs into the rotation.
-      while (auto idx = w.inbox.try_pop()) {
-        if (!w.deque.try_push(*idx)) {
-          slots_[static_cast<std::size_t>(*idx)]->in_rotation.store(
-              false, std::memory_order_release);
-        }
-      }
-      // Rotate: take the oldest assignment (self-steal keeps the rotation
-      // FIFO), poll it, put it back. Fall back to stealing from peers.
-      std::optional<int> idx = w.deque.try_steal();
-      if (!idx.has_value()) {
-        const int nw = worker_count_.load(std::memory_order_acquire);
-        for (int off = 1; off <= nw && !idx.has_value(); ++off) {
-          const int vi = (w.index + off) % (nw == 0 ? 1 : nw);
-          if (vi == w.index) continue;
-          Worker* victim = workers_[static_cast<std::size_t>(vi)].get();
-          if (victim == nullptr) continue;
-          idx = victim->deque.try_steal();
-          if (idx.has_value()) {
-            steals_.fetch_add(1, std::memory_order_relaxed);
-          }
-        }
-      }
-      if (idx.has_value()) {
-        Slot& s = *slots_[static_cast<std::size_t>(*idx)];
-        if (s.mode.load(std::memory_order_acquire) == EngineMode::shared) {
-          made = poll_slot(s);
-          if (!w.deque.try_push(*idx)) {
-            s.in_rotation.store(false, std::memory_order_release);
-          }
-        } else {
-          // Slot left shared mode; drop it and let the controller
-          // re-enqueue if it ever comes back.
-          s.in_rotation.store(false, std::memory_order_release);
-        }
-      }
+    const int n = slot_count_.load(std::memory_order_acquire);
+    for (int k = 0; k < n; ++k) {
+      const int i = (cursor + k) % n;
+      Slot& s = *slots_[static_cast<std::size_t>(i)];
+      if (s.owner.load(std::memory_order_acquire) != w.index) continue;
+      made = poll_slot(s);
+      cursor = i + 1;
+      break;
     }
     if (made != 0) {
       backoff.reset();

@@ -149,6 +149,24 @@ TEST(Capi, AsyncSpawnChain) {
   MPIX_Comm_free(&c);
 }
 
+TEST(Capi, WorldFreeDropsPendingHook) {
+  // A hook still pending when its World is freed is dropped, and with it
+  // the runtime's per-hook bridge state (LeakSanitizer builds catch a
+  // leak). The user's own extra_state stays the caller's to free.
+  MPIX_World w = nullptr;
+  ASSERT_EQ(MPIX_World_create(1, 0, &w), MPIX_SUCCESS);
+  MPIX_Comm c = nullptr;
+  ASSERT_EQ(MPIX_Comm_world(w, 0, &c), MPIX_SUCCESS);
+  int counter = 1;
+  CDummy never{w, 1e300, &counter};
+  ASSERT_EQ(MPIX_Async_start_on_comm(&c_dummy_poll, &never, c), MPIX_SUCCESS);
+  MPIX_Comm_progress(c);
+  EXPECT_EQ(counter, 1);
+  MPIX_Comm_free(&c);
+  EXPECT_EQ(MPIX_World_free(&w), MPIX_SUCCESS);
+  EXPECT_EQ(counter, 1);
+}
+
 TEST(Capi, StreamCommAndCollectives) {
   WorldGuard g(4);
   std::vector<std::thread> threads;

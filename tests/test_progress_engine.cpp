@@ -2,8 +2,8 @@
 //
 // The EnginePolicy half is pure and deterministic: tests inject fabricated
 // epoch samples and prove the mode transitions, the hysteresis damping at
-// thresholds, deferred promotion under the worker ceiling, and the
-// wait-ladder starvation signal. The runtime half is exercised end to end
+// thresholds, promotion held while can_grow is false, and the wait-ladder
+// starvation signal. The runtime half is exercised end to end
 // on a real World (promote while the application computes, demote and park
 // on the sleep rung when the workload goes idle), with generous deadlines
 // so scheduling noise cannot flake the assertions. The ProgressThread
@@ -11,6 +11,7 @@
 // counter sampling.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <functional>
 #include <thread>
@@ -29,10 +30,7 @@ namespace {
 
 ProgressEngineConfig policy_cfg() {
   ProgressEngineConfig cfg;
-  cfg.hysteresis = 2;
-  cfg.promote_app_polls = 4;
   cfg.dedicate_hit_rate = 0.5;
-  cfg.demote_hit_rate = 0.01;
   return cfg;
 }
 
@@ -168,7 +166,6 @@ TEST(EnginePolicyTest, CeilingDefersPromotionWithoutDroppingIt) {
 TEST(ProgressEngineTest, PromotesWhileApplicationComputes) {
   WorldConfig cfg{.nranks = 2};
   cfg.progress_engine.epoch_us = 200;
-  cfg.progress_engine.hysteresis = 1;
   auto w = World::create(cfg);
   task::ProgressEngine eng(*w);
   eng.attach(w->null_stream(0));
@@ -221,7 +218,6 @@ TEST(ProgressEngineTest, PromotesWhileApplicationComputes) {
 TEST(ProgressEngineTest, WorkerCeilingHolds) {
   WorldConfig cfg{.nranks = 1};
   cfg.progress_engine.epoch_us = 200;
-  cfg.progress_engine.hysteresis = 1;
   cfg.progress_engine.max_workers = 1;
   auto w = World::create(cfg);
   task::ProgressEngine eng(*w);
@@ -269,10 +265,88 @@ TEST(ProgressEngineTest, WorkerCeilingHolds) {
   w->finalize_rank(0);
 }
 
+TEST(ProgressEngineTest, CeilingNeverStrandsAStarvedVci) {
+  // One worker allowed, and any shared VCI the engine polls earns
+  // dedication. A starves first, so the only worker is dedicated to it;
+  // B starving afterwards must still get polled (A goes back to shared)
+  // instead of waiting for a worker that never frees up.
+  WorldConfig cfg{.nranks = 1};
+  cfg.progress_engine.epoch_us = 200;
+  cfg.progress_engine.max_workers = 1;
+  cfg.progress_engine.dedicate_hit_rate = 0;
+  auto w = World::create(cfg);
+  task::ProgressEngine eng(*w);
+  Stream sa = w->stream_create(0);
+  Stream sb = w->stream_create(0);
+  eng.attach(sa);
+  eng.attach(sb);
+
+  Comm cw = w->comm_world(0);
+  std::int32_t da = 0, db = 0;
+  Request ra =
+      cw.with_stream(sa).irecv(&da, 1, dtype::Datatype::int32(), 0, 1001);
+  ASSERT_TRUE(wait_until(
+      [&] { return eng.mode_of(sa) == EngineMode::dedicated; },
+      std::chrono::seconds(20)));
+  EXPECT_EQ(eng.stats().workers, 1);
+
+  // B gets a never-matching receive; the application never polls it.
+  Request rb =
+      cw.with_stream(sb).irecv(&db, 1, dtype::Datatype::int32(), 0, 1002);
+  auto polls_of_b = [&] {
+    for (const auto& v : eng.stats().vcis) {
+      if (v.vci == sb.vci()) return v.engine_polls;
+    }
+    return std::uint64_t{0};
+  };
+  const std::uint64_t before = polls_of_b();
+  EXPECT_TRUE(wait_until([&] { return polls_of_b() > before; },
+                         std::chrono::seconds(10)))
+      << "starved VCI stranded at the worker ceiling";
+  EXPECT_EQ(eng.stats().workers, 1);
+
+  eng.stop();
+  ra.cancel();
+  rb.cancel();
+  EXPECT_TRUE(ra.is_complete());
+  EXPECT_TRUE(rb.is_complete());
+  w->stream_free(sa);
+  w->stream_free(sb);
+  w->finalize_rank(0);
+}
+
+TEST(ProgressEngineTest, AsyncHookCountsAsPendingWork) {
+  // The VCI's only work is one async hook that finishes after a few
+  // polls, and the application only reads a flag: the engine must take
+  // the hook as pending work and poll it to completion.
+  WorldConfig cfg{.nranks = 1};
+  cfg.progress_engine.epoch_us = 200;
+  auto w = World::create(cfg);
+  task::ProgressEngine eng(*w);
+  Stream s = w->stream_create(0);
+  eng.attach(s);
+
+  std::atomic<bool> done{false};
+  int polls = 0;
+  async_start(
+      [&] {
+        if (++polls < 5) return AsyncResult::pending;
+        done.store(true, std::memory_order_release);
+        return AsyncResult::done;
+      },
+      s);
+  EXPECT_TRUE(wait_until([&] { return done.load(std::memory_order_acquire); },
+                         std::chrono::seconds(10)))
+      << "engine never polled a VCI whose only work is a hook";
+
+  eng.stop();
+  w->stream_free(s);
+  w->finalize_rank(0);
+}
+
 TEST(ProgressEngineTest, DetachHandsProgressBack) {
   WorldConfig cfg{.nranks = 1};
   cfg.progress_engine.epoch_us = 200;
-  cfg.progress_engine.hysteresis = 1;
   auto w = World::create(cfg);
   task::ProgressEngine eng(*w);
   Stream s = w->null_stream(0);

@@ -55,9 +55,6 @@ MODELED_FILES = (
     # and driven through every interleaving the suite explores.
     "include/mpx/coll/ir_cache.hpp",
     "src/coll/ir_exec.cpp",
-    # The progress engine's work-stealing deque — modeled by
-    # test_mc_engine_steal.cpp (steal-vs-pop last element, empty-steal ABA).
-    "include/mpx/task/steal_deque.hpp",
     # The control-plane/datapath topology seam (RCU snapshot publication,
     # epoch quiescence, pair in-flight counters) — modeled by
     # test_mc_topology_swap.cpp (publish/read/reclaim interleavings).
@@ -147,7 +144,6 @@ INTERNALLY_SYNCED_TYPES = (
     "LockRank",
     "Coordinator",
     "WaitLadderCounters",
-    "StealDeque",
     # RCU publication point: one atomic pointer, synchronized by the
     # publish/pin/quiesce protocol in topology.hpp.
     "TopologyHandle",
