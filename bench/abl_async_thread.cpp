@@ -13,8 +13,9 @@
 //                    exists, but the main thread's VCI stays uncontended
 //
 // Reported: round trips per second and the VCI-0 lock contention counters.
-// (Single-core note: helpers yield after idle polls so the main thread can
-// run; the contended-acquire counter is the scheduling-independent signal.)
+// (Oversubscription note: idle helpers back off along the World's wait
+// ladder so the main thread can run; the contended-acquire counter is the
+// scheduling-independent signal.)
 #include <benchmark/benchmark.h>
 
 #include "mpx/mpx.hpp"
@@ -37,17 +38,13 @@ void BM_PingPongWithHelpers(benchmark::State& state) {
   mpx::Stream s1 = world->null_stream(1);
   mpx::Stream e0, e1;
   if (mode == Mode::global_helper) {
-    h0 = std::make_unique<mpx::task::ProgressThread>(
-        s0, mpx::task::ProgressBackoff::yield);
-    h1 = std::make_unique<mpx::task::ProgressThread>(
-        s1, mpx::task::ProgressBackoff::yield);
+    h0 = std::make_unique<mpx::task::ProgressThread>(s0);
+    h1 = std::make_unique<mpx::task::ProgressThread>(s1);
   } else if (mode == Mode::stream_helper) {
     e0 = world->stream_create(0);
     e1 = world->stream_create(1);
-    h0 = std::make_unique<mpx::task::ProgressThread>(
-        e0, mpx::task::ProgressBackoff::yield);
-    h1 = std::make_unique<mpx::task::ProgressThread>(
-        e1, mpx::task::ProgressBackoff::yield);
+    h0 = std::make_unique<mpx::task::ProgressThread>(e0);
+    h1 = std::make_unique<mpx::task::ProgressThread>(e1);
   }
   world->vci_lock_stats(0, 0);  // touch
   const auto before0 = world->vci_lock_stats(0, 0);

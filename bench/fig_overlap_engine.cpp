@@ -17,10 +17,11 @@
 //               application drives all progress itself, so the LMT copies
 //               serialize after the compute phase (Fig. 4c shape).
 //   dedicated — one static ProgressThread per rank, the classic always-on
-//               async-progress thread. Yield backoff: on an oversubscribed
-//               core a busy-spinning helper hogs whole scheduler timeslices
-//               and starves the ranks themselves (measured 2x worse than
-//               inline here), so yield is the honest static baseline.
+//               async-progress thread. It idles on the World's wait ladder
+//               (spin, then yield, then sleep), the same one the engine's
+//               workers use: on an oversubscribed core a helper that never
+//               backs off hogs whole scheduler timeslices and starves the
+//               ranks themselves.
 //   adaptive  — task::ProgressEngine attached to both ranks' streams; the
 //               controller promotes/demotes online.
 //
@@ -153,10 +154,10 @@ double run_halo(Strategy strat, int iters, int compute_us,
     eng->attach(w->null_stream(0));
     eng->attach(w->null_stream(1));
   } else if (strat == Strategy::dedicated) {
-    helpers.push_back(std::make_unique<task::ProgressThread>(
-        w->null_stream(0), task::ProgressBackoff::yield));
-    helpers.push_back(std::make_unique<task::ProgressThread>(
-        w->null_stream(1), task::ProgressBackoff::yield));
+    helpers.push_back(
+        std::make_unique<task::ProgressThread>(w->null_stream(0)));
+    helpers.push_back(
+        std::make_unique<task::ProgressThread>(w->null_stream(1)));
   }
 
   StartGate gate;
@@ -217,10 +218,10 @@ double run_pipeline(Strategy strat, int rounds, int compute_us, int chunks,
     eng->attach(w->null_stream(0));
     eng->attach(w->null_stream(1));
   } else if (strat == Strategy::dedicated) {
-    helpers.push_back(std::make_unique<task::ProgressThread>(
-        w->null_stream(0), task::ProgressBackoff::yield));
-    helpers.push_back(std::make_unique<task::ProgressThread>(
-        w->null_stream(1), task::ProgressBackoff::yield));
+    helpers.push_back(
+        std::make_unique<task::ProgressThread>(w->null_stream(0)));
+    helpers.push_back(
+        std::make_unique<task::ProgressThread>(w->null_stream(1)));
   }
 
   StartGate gate;

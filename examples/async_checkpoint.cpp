@@ -26,8 +26,7 @@ int main(int argc, char** argv) {
   mpx::Stream ckpt_stream = world->stream_create(0);
   mpx::io::File ckpt =
       mpx::io::File::open(disk, "state.ckpt", ckpt_stream);
-  mpx::task::ProgressThread helper(ckpt_stream,
-                                   mpx::task::ProgressBackoff::sleep);
+  mpx::task::ProgressThread helper(ckpt_stream);
 
   std::vector<double> state(1 << 16);
   std::iota(state.begin(), state.end(), 0.0);

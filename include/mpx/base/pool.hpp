@@ -6,13 +6,14 @@
 // them through freelists removes the global allocator from the per-message
 // cost (MPICH ships the same design: CH4 request pools and cell pools).
 //
-// Three shapes:
-//   - FreelistPool<T>    : typed freelist of raw storage, NOT thread-safe;
-//                          per-VCI pools guarded by the VCI lock.
-//   - FixedBlockPool     : process-wide raw-block pool for class-level
-//                          operator new/delete overloads whose release site
-//                          crosses threads (refcounted requests, collective
-//                          cursors, async hooks).
+// Two shapes:
+//   - FixedBlockPool     : raw-block pool. Process-wide instances back the
+//                          class-level operator new/delete overloads
+//                          (refcounted requests, unexpected messages,
+//                          collective cursors, async hooks); each compiled
+//                          collective schedule owns one for its scratch
+//                          arenas. Allocation and release may run on
+//                          different threads.
 //   - PayloadPool        : power-of-two size classes behind
 //                          pooled_buffer()/pooled_copy(); eager payloads are
 //                          allocated under the sender's VCI and freed under
@@ -76,75 +77,6 @@ namespace mpx::base {
 /// allocator: compiled under ASan, or MPX_POOL_DISABLE=1 in the
 /// environment (read once).
 bool pool_passthrough();
-
-/// Typed freelist pool: acquire() placement-constructs T on recycled
-/// storage, release() destroys and parks the storage (up to `max_free`
-/// blocks; beyond that the storage is freed). NOT thread-safe — each VCI
-/// owns its pools and guards them with its lock. Parked storage is freed
-/// by the destructor (the Vci teardown drain path).
-template <class T>
-class FreelistPool {
-  static_assert(alignof(T) <= alignof(std::max_align_t),
-                "FreelistPool: over-aligned T not supported");
-
- public:
-  explicit FreelistPool(std::size_t max_free) : max_free_(max_free) {}
-  FreelistPool(const FreelistPool&) = delete;
-  FreelistPool& operator=(const FreelistPool&) = delete;
-  ~FreelistPool() { drain(); }
-
-  template <class... Args>
-  T* acquire(Args&&... args) {
-    ++st_.live;
-    if (free_ != nullptr && !pool_passthrough()) {
-      Node* n = free_;
-      free_ = n->next;
-      --st_.free_count;
-      ++st_.hits;
-      return ::new (static_cast<void*>(n)) T(std::forward<Args>(args)...);
-    }
-    ++st_.misses;
-    return ::new (::operator new(storage_size())) T(std::forward<Args>(args)...);
-  }
-
-  void release(T* p) {
-    if (p == nullptr) return;
-    p->~T();
-    --st_.live;
-    if (st_.free_count < max_free_ && !pool_passthrough()) {
-      Node* n = ::new (static_cast<void*>(p)) Node{free_};
-      free_ = n;
-      ++st_.free_count;
-      return;
-    }
-    ++st_.overflow;
-    ::operator delete(static_cast<void*>(p));
-  }
-
-  /// Free all parked storage (live objects are unaffected).
-  void drain() {
-    while (free_ != nullptr) {
-      Node* n = free_;
-      free_ = n->next;
-      ::operator delete(static_cast<void*>(n));
-    }
-    st_.free_count = 0;
-  }
-
-  PoolStats stats() const { return st_; }
-
- private:
-  struct Node {
-    Node* next;
-  };
-  static constexpr std::size_t storage_size() {
-    return sizeof(T) > sizeof(Node) ? sizeof(T) : sizeof(Node);
-  }
-
-  Node* free_ = nullptr;
-  const std::size_t max_free_;
-  PoolStats st_;
-};
 
 /// Per-thread magazine budget of a process-wide pool (or payload size
 /// class): at most this many bytes of parked blocks...
@@ -265,9 +197,8 @@ struct NamedPoolStats {
   PoolStats stats;
 };
 
-/// Snapshot every registered process-wide pool (request, async-thing,
-/// payload). Per-VCI pools are reported through World accessors instead —
-/// they live and die with their VCI.
+/// Snapshot every registered pool (request, unexp, async-thing, cursor,
+/// payload, ...).
 std::vector<NamedPoolStats> pool_registry_snapshot();
 
 namespace pool_detail {

@@ -27,12 +27,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "mpx/base/pool.hpp"
-#include "mpx/base/spinlock.hpp"
-#include "mpx/base/thread_safety.hpp"
 #include "mpx/core/comm.hpp"
 #include "mpx/dtype/reduce_op.hpp"
 #include "mpx/net/cost_model.hpp"
@@ -178,39 +177,9 @@ struct Node {
   std::uint16_t req_slot = 0;  ///< request slot (send/recv nodes)
 };
 
-/// Per-schedule recycler for cursor scratch arenas. All arenas of one
-/// schedule share a size (sized for the schedule's count-class upper
-/// bound), so a plain capped freelist suffices; steady-state cached calls
-/// reuse a parked arena instead of touching the allocator. Thread-safe
-/// (launch and completion may run on different member threads); the lock
-/// is a leaf (LockRank::none — nothing nests inside it).
-class ScratchRecycler {
- public:
-  ScratchRecycler() = default;
-  ScratchRecycler(const ScratchRecycler&) = delete;
-  ScratchRecycler& operator=(const ScratchRecycler&) = delete;
-  ~ScratchRecycler();
-
-  /// An arena of exactly `bytes` bytes (the schedule's fixed arena size).
-  std::byte* get(std::size_t bytes);
-  /// Park (or free, past the cap) an arena obtained from get().
-  void put(std::byte* p, std::size_t bytes);
-
-  base::PoolStats stats() const;
-
- private:
-  struct Node {
-    Node* next;
-  };
-  mutable base::Spinlock mu_{"coll-scratch", base::LockRank::none};
-  Node* free_ MPX_GUARDED_BY(mu_) = nullptr;
-  std::size_t block_bytes_ MPX_GUARDED_BY(mu_) = 0;
-  base::PoolStats st_ MPX_GUARDED_BY(mu_);
-};
-
 /// An immutable compiled schedule. Shared (const) between the per-comm
 /// cache, in-flight cursors, and persistent handles; the only mutable
-/// member is the scratch recycler, which is internally synchronized.
+/// member is the scratch arena pool, which is thread-safe.
 class Schedule {
  public:
   CollKind kind = CollKind::allreduce;
@@ -242,7 +211,10 @@ class Schedule {
   std::size_t arena_bytes(std::size_t count) const;
   std::size_t slot_offset(std::uint16_t slot, std::size_t count) const;
 
-  mutable ScratchRecycler arena_pool;
+  /// Recycles cursor scratch arenas, all arena_bytes(max_count) bytes.
+  /// Emplaced by the Builder when the arena is non-empty; a verify::clone
+  /// leaves it empty and is never launched.
+  mutable std::optional<base::FixedBlockPool> arena_pool;
 };
 
 using SchedPtr = std::shared_ptr<const Schedule>;

@@ -118,8 +118,9 @@ Report verify_local(const Schedule& s);
 
 // ---- tooling helpers (tests, tools/sched_verify) --------------------------
 
-/// Deep-copy a schedule (minus its scratch recycler) so a mutation can be
-/// applied and proven caught without touching the original.
+/// Deep-copy a schedule (minus its scratch arena pool) so a mutation can be
+/// applied and proven caught without touching the original. The copy is
+/// for the verifier only: it cannot be launched.
 std::shared_ptr<Schedule> clone(const Schedule& s);
 
 /// Rebuild succ/succ_off/indeg/entry from an explicit edge list (each

@@ -68,8 +68,9 @@ struct WorldConfig {
   /// at wait_sleep_max_us. Any progress resets the ladder.
   int wait_spin = 200;
   int wait_yield = 32;
-  /// Sleep-rung cap in microseconds, shared by the wait ladder and the
-  /// task-layer progress helper threads (one knob for every idle sleeper).
+  /// Sleep-rung cap in microseconds. Blocking waits, engine workers and
+  /// task::ProgressThread share the ladder (one knob for every idle
+  /// sleeper).
   int wait_sleep_max_us = 64;
 
   /// Adaptive progress engine tuning (task::ProgressEngine reads this

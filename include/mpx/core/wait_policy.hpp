@@ -34,8 +34,9 @@ namespace mpx::core_detail {
 /// Tunables (WorldConfig::wait_spin / wait_yield / wait_sleep_max_us).
 /// Negative spin: spin forever (never yield or sleep — the paper's original
 /// full-rate loop). Negative yield: never sleep. sleep_max_us caps the
-/// exponential sleep rung; it is shared with task::ProgressThread's sleep
-/// backoff so one field governs every idle sleeper of a World.
+/// exponential sleep rung. Blocking waits, engine workers and
+/// task::ProgressThread all climb this ladder, so one set of fields
+/// governs every idle poller of a World.
 struct WaitPolicy {
   int spin = 200;
   int yield = 32;
@@ -66,9 +67,8 @@ struct WaitLadderCounters {
   }
 };
 
-/// Exponential-sleep helper shared by the wait ladder and the progress
-/// helper threads: empty round `idx` (0-based, counting from the first
-/// sleeping round) sleeps 1us << idx capped at `max_us`.
+/// The sleep rung's schedule: empty round `idx` (0-based, counting from
+/// the first sleeping round) sleeps 1us << idx capped at `max_us`.
 inline std::int64_t backoff_sleep_us(long idx, int max_us) {
   const unsigned shift = idx < 0 ? 0U : (idx < 16 ? static_cast<unsigned>(idx)
                                                   : 16U);

@@ -142,11 +142,6 @@ class World : public std::enable_shared_from_this<World> {
   };
   MatchCounters vci_match_counters(int rank, int vci) const;
 
-  /// Counters of (rank, vci)'s unexpected-message freelist. Process-wide
-  /// pools (request, async-thing, payload) are reported through
-  /// base::pool_registry_snapshot() instead.
-  base::PoolStats vci_unexp_pool_stats(int rank, int vci) const;
-
   // --- transports ---
 
   /// Ordered transport list (routing order: extras, then shm, then nic).

@@ -4,9 +4,10 @@
 // (§5.1): instead of an implementation-global async-progress thread that
 // contends with every MPI call under MPI_THREAD_MULTIPLE, the application
 // spins progress on exactly the stream(s) that need it, where it knows by
-// design that background progress is required. An optional backoff puts the
-// thread to sleep when progress is idle (the MVAPICH-style tuning the paper
-// cites).
+// design that background progress is required. When progress is idle the
+// thread climbs the World's spin -> yield -> sleep wait ladder
+// (WorldConfig::wait_spin / wait_yield / wait_sleep_max_us), so an idle
+// helper ends up sleeping (the MVAPICH-style tuning the paper cites).
 #pragma once
 
 #include <atomic>
@@ -16,13 +17,6 @@
 #include "mpx/core/stream.hpp"
 
 namespace mpx::task {
-
-/// Backoff policy for the helper thread when progress reports nothing.
-enum class ProgressBackoff {
-  busy,   ///< spin flat out (lowest latency, burns a core)
-  yield,  ///< sched_yield between idle polls
-  sleep,  ///< exponential sleep when idle, capped at wait_sleep_max_us
-};
 
 /// RAII progress thread for one stream. Starts on construction, stops and
 /// joins on destruction.
@@ -38,8 +32,7 @@ enum class ProgressBackoff {
 /// productive() read after stop() see the thread's last poll.
 class ProgressThread {
  public:
-  explicit ProgressThread(Stream stream,
-                          ProgressBackoff backoff = ProgressBackoff::busy);
+  explicit ProgressThread(Stream stream);
   ~ProgressThread();
 
   ProgressThread(const ProgressThread&) = delete;
@@ -57,26 +50,13 @@ class ProgressThread {
     return productive_.load(std::memory_order_relaxed);
   }
 
-  /// Windowed counter deltas since the previous sample_window() call (the
-  /// first call is the delta since construction). Epoch-based controllers
-  /// need rates over their own sampling window, not lifetime totals whose
-  /// early history drowns out behavior changes. Call from one sampling
-  /// thread at a time (the window cursor is not itself synchronized).
-  struct Window {
-    std::uint64_t iterations = 0;
-    std::uint64_t productive = 0;
-  };
-  Window sample_window();
-
  private:
   void run();
 
   Stream stream_;
-  ProgressBackoff backoff_;
   std::atomic<bool> stop_{false};
   std::atomic<std::uint64_t> iterations_{0};
   std::atomic<std::uint64_t> productive_{0};
-  Window last_window_;  ///< sampling cursor (sampler-thread-only state)
   std::atomic<bool> joining_{false};
   std::atomic<bool> joined_{false};
   base::ScopedThread thread_;

@@ -12,7 +12,6 @@
 #include "mpx/coll/ir.hpp"
 
 #include <algorithm>
-#include <new>
 #include <utility>
 
 #include "ir_internal.hpp"
@@ -56,70 +55,17 @@ const char* to_string(CollKind k) {
   return "?";
 }
 
-// ---- ScratchRecycler -------------------------------------------------------
-
-namespace {
-constexpr std::size_t kArenaAlign = 64;  // cache-line aligned arenas
-constexpr std::size_t kScratchCap = 8;   // parked arenas per schedule
-}  // namespace
-
-ScratchRecycler::~ScratchRecycler() {
-  while (free_ != nullptr) {
-    Node* n = free_;
-    free_ = n->next;
-    n->~Node();
-    ::operator delete(static_cast<void*>(n), std::align_val_t(kArenaAlign));
-  }
-}
-
-std::byte* ScratchRecycler::get(std::size_t bytes) {
-  if (bytes == 0) return nullptr;
-  const std::size_t want = std::max(bytes, sizeof(Node));
-  base::LockGuard<base::Spinlock> g(mu_);
-  expects(block_bytes_ == 0 || block_bytes_ == want,
-          "ScratchRecycler: arena size changed under one schedule");
-  block_bytes_ = want;
-  if (free_ != nullptr && !base::pool_passthrough()) {
-    Node* n = free_;
-    free_ = n->next;
-    n->~Node();
-    --st_.free_count;
-    ++st_.hits;
-    ++st_.live;
-    return static_cast<std::byte*>(static_cast<void*>(n));
-  }
-  ++st_.misses;
-  ++st_.live;
-  return static_cast<std::byte*>(
-      ::operator new(want, std::align_val_t(kArenaAlign)));
-}
-
-void ScratchRecycler::put(std::byte* p, std::size_t bytes) {
-  if (p == nullptr) return;
-  const std::size_t want = std::max(bytes, sizeof(Node));
-  base::LockGuard<base::Spinlock> g(mu_);
-  expects(block_bytes_ == want, "ScratchRecycler: put of foreign arena");
-  --st_.live;
-  if (st_.free_count < kScratchCap && !base::pool_passthrough()) {
-    Node* n = ::new (static_cast<void*>(p)) Node{free_};
-    free_ = n;
-    ++st_.free_count;
-    return;
-  }
-  ++st_.overflow;
-  ::operator delete(static_cast<void*>(p), std::align_val_t(kArenaAlign));
-}
-
-base::PoolStats ScratchRecycler::stats() const {
-  base::LockGuard<base::Spinlock> g(mu_);
-  return st_;
-}
-
 // ---- Schedule --------------------------------------------------------------
 
 namespace {
+constexpr std::size_t kSlotAlign = 64;  // scratch slot stride within an arena
+/// Depot cap of each schedule's arena pool: one magazine batch. A cursor
+/// launched on a rank thread and completed on a progress thread moves its
+/// arena between magazines a batch at a time; a smaller depot would free
+/// part of every batch and miss on the way back.
+constexpr std::size_t kScratchCap = base::kMagazineMaxBlocks / 2;
 std::size_t align_up(std::size_t n) {
-  return (n + kArenaAlign - 1) & ~(kArenaAlign - 1);
+  return (n + kSlotAlign - 1) & ~(kSlotAlign - 1);
 }
 }  // namespace
 
@@ -370,6 +316,9 @@ SchedPtr Builder::materialize(Algo algo, int root,
   s->nodes = nodes_;
   s->slots = slots_;
   s->fns = fns_;
+  if (const std::size_t ab = s->arena_bytes(max_count); ab != 0) {
+    s->arena_pool.emplace(nullptr, ab, kScratchCap);
+  }
   return s;
 }
 

@@ -12,7 +12,7 @@
 //
 // The steady-state allocation story (the point of the cache): a cursor is
 // pool storage, its per-run arrays live in one pooled buffer sized by the
-// schedule, its scratch arena comes from the schedule's recycler, and the
+// schedule, its scratch arena comes from the schedule's arena pool, and the
 // grequest recycles through the request pool — a repeated cached collective
 // touches the allocator zero times. Persistent handles go further and pin
 // one cursor for their lifetime; start() only re-arms it.
@@ -60,8 +60,7 @@ struct ExecCursor {
   /// One pooled block holds every per-run array (laid out by state_layout);
   /// sized once per schedule and reused across persistent cycles.
   base::Buffer state;
-  std::byte* arena = nullptr;  ///< scratch arena from the schedule recycler
-  std::size_t arena_sz = 0;
+  std::byte* arena = nullptr;  ///< scratch arena from the schedule's pool
   std::size_t* slot_off = nullptr;   ///< [nslots] arena byte offsets
   Request* reqs = nullptr;           ///< [nreq] request slots
   std::uint32_t* ready = nullptr;    ///< [nodes] ready stack
@@ -146,8 +145,9 @@ void bind_state(ExecCursor& c) {
   }
   const std::size_t ab = s.arena_bytes(s.max_count);
   if (c.arena == nullptr && ab != 0) {
-    c.arena = s.arena_pool.get(ab);
-    c.arena_sz = ab;
+    expects(s.arena_pool.has_value(),
+            "coll ir: schedule has no scratch arena pool (not executable)");
+    c.arena = static_cast<std::byte*>(s.arena_pool->allocate(ab));
   }
 }
 
@@ -182,9 +182,8 @@ void release_exec_state(ExecCursor& c) {
     c.reqs_live = false;
   }
   if (c.arena != nullptr) {
-    c.sched->arena_pool.put(c.arena, c.arena_sz);
+    c.sched->arena_pool->deallocate(c.arena);
     c.arena = nullptr;
-    c.arena_sz = 0;
   }
 }
 

@@ -142,7 +142,8 @@ CacheStats cache_stats(const Comm& comm) {
   out.rejects = e->cache.rejects();
   out.entries = e->cache.entries();
   for (const SchedPtr& s : e->cache.snapshot()) {
-    const base::PoolStats st = s->arena_pool.stats();
+    if (!s->arena_pool) continue;
+    const base::PoolStats st = s->arena_pool->stats();
     out.scratch_hits += st.hits;
     out.scratch_misses += st.misses;
   }

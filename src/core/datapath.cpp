@@ -128,10 +128,4 @@ World::MatchCounters World::vci_match_counters(int rank, int vci_id) const {
   return c;
 }
 
-base::PoolStats World::vci_unexp_pool_stats(int rank, int vci_id) const {
-  Vci& v = *vci_ptr(rank, vci_id);
-  base::LockGuard<base::InstrumentedMutex> g(v.mu);
-  return v.unexp_pool.stats();
-}
-
 }  // namespace mpx

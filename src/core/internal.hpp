@@ -95,9 +95,6 @@ struct ParkedSend {
   std::uint64_t cookie = 0;
 };
 
-/// Parked blocks in each VCI's unexpected-message freelist.
-inline constexpr std::size_t kUnexpPoolCap = 256;
-
 /// One virtual communication interface: the serial execution context behind
 /// an MPIX_Stream. VCI 0 is the default (MPIX_STREAM_NULL) context.
 ///
@@ -123,11 +120,6 @@ struct Vci {
   // make_vci calls init() before the VCI is published.
   PostedQueue posted MPX_GUARDED_BY(mu);
   UnexpQueue unexpected MPX_GUARDED_BY(mu);
-  /// Storage pool for unexpected-message bookkeeping. Acquire and release
-  /// both happen under `mu` (arrival handlers, irecv/imrecv consume,
-  /// teardown), so a plain per-VCI freelist suffices — no atomics on this
-  /// hot path, unlike the process-wide request/payload pools.
-  base::FreelistPool<UnexpMsg> unexp_pool MPX_GUARDED_BY(mu){kUnexpPoolCap};
 
   // Progress subsystems, in Listing 1.1 order.
   dtype::PackEngine pack_engine MPX_GUARDED_BY(mu);   // (1) datatype engine

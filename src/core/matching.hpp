@@ -29,7 +29,10 @@
 //   returned message cannot be overtaken by a younger one from its channel.
 //
 // All methods must be called under the owning VCI's lock; the Vci members
-// carry the MPX_GUARDED_BY(mu) annotations.
+// carry the MPX_GUARDED_BY(mu) annotations. The queues link messages but do
+// not own them: UnexpMsg is allocated with new (class-level operator
+// new/delete on the process-wide "unexp" FixedBlockPool) by the arrival
+// handlers and deleted by whoever consumes it.
 #pragma once
 
 #include <bit>
@@ -46,12 +49,34 @@ namespace mpx::core_detail {
 
 /// An unexpected message (eager payload or rendezvous RTS) parked until a
 /// matching receive is posted. Lives on the owning VCI's UnexpQueue; storage
-/// is recycled through the VCI's unexp_pool.
+/// is recycled through unexp_msg_pool().
 struct UnexpMsg {
   base::ListHook hook;      ///< global arrival-order FIFO
   base::ListHook bin_hook;  ///< (context, src) channel bin
   transport::Msg msg;
+
+  static void* operator new(std::size_t n);
+  static void operator delete(void* p) noexcept;
 };
+
+/// Parked blocks in the unexpected-message pool's depot.
+inline constexpr std::size_t kUnexpPoolCap = 256;
+
+/// Process-wide storage pool behind UnexpMsg::operator new/delete. A
+/// message may be parked under one VCI's lock and consumed under another's
+/// (imrecv), so it recycles through per-thread magazines, not a VCI.
+inline base::FixedBlockPool& unexp_msg_pool() {
+  static base::FixedBlockPool pool("unexp", sizeof(UnexpMsg), kUnexpPoolCap);
+  return pool;
+}
+
+inline void* UnexpMsg::operator new(std::size_t n) {
+  return unexp_msg_pool().allocate(n);
+}
+
+inline void UnexpMsg::operator delete(void* p) noexcept {
+  unexp_msg_pool().deallocate(p);
+}
 
 inline bool tag_ok(std::int32_t want, std::int32_t got) {
   return want == any_tag || want == got;
@@ -165,7 +190,8 @@ class PostedQueue {
 };
 
 /// Early arrivals, binned by (context, src) plus one global arrival-order
-/// FIFO for wildcard scans. Does not own the messages; the VCI's pool does.
+/// FIFO for wildcard scans. Does not own the messages: whoever pops one
+/// deletes it.
 class UnexpQueue {
  public:
   using FifoList = base::IntrusiveList<UnexpMsg, &UnexpMsg::hook>;

@@ -46,11 +46,10 @@ Vci::~Vci() {
   for (std::uint64_t c : synth_cq) {
     base::Ref<RequestImpl> drop = from_cookie(c);
   }
-  while (UnexpMsg* u = unexpected.pop_front_any()) unexp_pool.release(u);
+  while (UnexpMsg* u = unexpected.pop_front_any()) delete u;
   while (RequestImpl* r = posted.pop_any()) {
     base::Ref<RequestImpl> drop(r);  // adopt the posted-queue reference
   }
-  // ~FreelistPool frees the parked UnexpMsg storage after this returns.
 }
 
 namespace {

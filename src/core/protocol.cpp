@@ -64,9 +64,9 @@ RequestImpl* pop_posted(Vci& v, const MsgHeader& h) MPX_REQUIRES(v.mu) {
   return v.posted.pop_match(h.context_id, h.src_rank, h.tag);
 }
 
-/// Park an arrival on the unexpected queue (storage from the VCI's pool).
+/// Park an arrival on the unexpected queue.
 void park_unexpected(Vci& v, Msg&& m) MPX_REQUIRES(v.mu) {
-  UnexpMsg* u = v.unexp_pool.acquire();
+  auto* u = new UnexpMsg();
   u->msg = std::move(m);
   v.unexpected.push_back(u);
 }
@@ -205,7 +205,7 @@ void handle_eager_inline(Vci& v, const MsgHeader& h, base::ConstByteSpan data)
     return;
   }
   trace_emit(v, trace::Event::unexpected, h.src_rank, h.tag, h.total_bytes);
-  UnexpMsg* u = v.unexp_pool.acquire();
+  auto* u = new UnexpMsg();
   u->msg.h = h;
   u->msg.payload = base::pooled_copy(data);
   v.unexpected.push_back(u);
@@ -590,7 +590,7 @@ Request irecv_impl(const std::shared_ptr<CommImpl>& comm, int my_rank,
       ensures(hit->msg.h.kind == MsgKind::rts, "unexpected queue: bad kind");
       start_rndv_recv(v, std::move(own), hit->msg.h);
     }
-    v.unexp_pool.release(hit);
+    delete hit;
     return Request(base::Ref<RequestImpl>(r));
   }
   r->ref_inc();  // the posted queue holds a reference
@@ -628,10 +628,7 @@ Request imrecv_impl(const std::shared_ptr<CommImpl>& comm, int my_rank,
     ensures(u->msg.h.kind == MsgKind::rts, "imrecv: bad claimed message");
     start_rndv_recv(v, base::Ref<RequestImpl>::share(r), u->msg.h);
   }
-  // The storage came from the parking VCI's pool; releasing into this VCI's
-  // pool is fine (blocks are interchangeable ::operator new storage) and
-  // this is the pool we hold the lock for.
-  v.unexp_pool.release(u);
+  delete u;
   return Request(base::Ref<RequestImpl>(r));
 }
 

@@ -255,32 +255,6 @@ TEST(Cvar, EnvParsing) {
   EXPECT_EQ(cvar_string("MPX_TEST_INT", ""), "42");
 }
 
-TEST(Pool, FreelistPoolRecyclesAndCaps) {
-  struct Node {
-    explicit Node(int x) : v(x) {}
-    int v;
-  };
-  FreelistPool<Node> pool(/*max_free=*/1);
-  Node* a = pool.acquire(1);
-  Node* b = pool.acquire(2);
-  EXPECT_EQ(a->v, 1);
-  EXPECT_EQ(pool.stats().live, 2u);
-  EXPECT_EQ(pool.stats().misses, 2u);
-  pool.release(a);  // parked (free_count 1 == max_free)
-  pool.release(b);  // over the cap: freed, counted as overflow
-  EXPECT_EQ(pool.stats().live, 0u);
-  EXPECT_EQ(pool.stats().free_count, pool_passthrough() ? 0u : 1u);
-  EXPECT_EQ(pool.stats().overflow, pool_passthrough() ? 2u : 1u);
-  Node* c = pool.acquire(3);
-  EXPECT_EQ(c->v, 3);
-  if (!pool_passthrough()) {
-    EXPECT_EQ(pool.stats().hits, 1u);  // reused the parked block
-  }
-  pool.release(c);
-  pool.drain();
-  EXPECT_EQ(pool.stats().free_count, 0u);
-}
-
 TEST(Pool, FixedBlockPoolRegistryAndStats) {
   auto find = [](const char* name) -> std::optional<PoolStats> {
     for (const NamedPoolStats& row : pool_registry_snapshot()) {

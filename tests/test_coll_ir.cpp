@@ -5,11 +5,13 @@
 // persistent handles; and the user-level Builder path.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <random>
 #include <sstream>
+#include <thread>
 #include <vector>
 
 #include "mpx/base/pool.hpp"
@@ -396,6 +398,57 @@ TEST(CollIrAlloc, SteadyStateTouchesNoAllocator) {
     }
     w->finalize_rank(rank);
   });
+}
+
+// A cursor's arena is allocated by the launching thread and released by
+// whichever thread completes the cursor (a progress thread, under
+// async progress). One thread allocating and another releasing must still
+// recycle every arena once warm. Same dirty-window retry as above: the
+// working set the warm-up reaches depends on the interleaving.
+TEST(CollIrAlloc, ScratchArenasRecycleAcrossThreads) {
+  if (base::pool_passthrough()) {
+    GTEST_SKIP() << "pools disabled (asan or MPX_POOL_DISABLE)";
+  }
+  ir::Builder b(ir::CollKind::allreduce, dtype::Datatype::int64(),
+                dtype::ReduceOp::sum, /*in_place=*/false, 0, 1);
+  const std::uint16_t slot = b.scratch(ir::full());
+  b.copy(ir::send_buf(ir::full()), ir::scratch_ref(slot, ir::full()));
+  ir::SchedPtr s = b.finish(ir::Algo::rd, 0, 8);
+  ASSERT_TRUE(s->arena_pool.has_value());
+  base::FixedBlockPool& pool = *s->arena_pool;
+  const std::size_t bytes = s->arena_bytes(s->max_count);
+
+  std::atomic<void*> handoff{nullptr};
+  std::atomic<bool> done{false};
+  std::thread releaser([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      if (void* p = handoff.exchange(nullptr)) {
+        pool.deallocate(p);
+      } else {
+        std::this_thread::yield();
+      }
+    }
+    if (void* p = handoff.exchange(nullptr)) pool.deallocate(p);
+  });
+  const auto cycle = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      void* p = pool.allocate(bytes);
+      while (handoff.load() != nullptr) std::this_thread::yield();
+      handoff.store(p);
+    }
+    while (handoff.load() != nullptr) std::this_thread::yield();
+  };
+  cycle(256);
+  bool steady = false;
+  for (int attempt = 0; attempt < 4 && !steady; ++attempt) {
+    const std::uint64_t miss0 = pool.stats().misses;
+    cycle(1024);
+    steady = pool.stats().misses == miss0;
+  }
+  done.store(true, std::memory_order_release);
+  releaser.join();
+  EXPECT_TRUE(steady)
+      << "cross-thread arena release missed in every measurement window";
 }
 
 // ---- persistent handles ----------------------------------------------------

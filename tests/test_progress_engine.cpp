@@ -367,8 +367,7 @@ TEST(ProgressThreadTest, ConcurrentStopAndDestroyIsSafe) {
   // race repeatedly with a live stream; TSan builds verify the handshake.
   for (int iter = 0; iter < 50; ++iter) {
     auto w = World::create(WorldConfig{.nranks = 1});
-    auto* pt = new task::ProgressThread(w->null_stream(0),
-                                        task::ProgressBackoff::yield);
+    auto* pt = new task::ProgressThread(w->null_stream(0));
     std::thread racer([&] { pt->stop(); });
     pt->stop();
     racer.join();
@@ -377,20 +376,4 @@ TEST(ProgressThreadTest, ConcurrentStopAndDestroyIsSafe) {
     EXPECT_GE(its, pt->productive());
     delete pt;  // third stop() via the destructor
   }
-}
-
-TEST(ProgressThreadTest, SampleWindowReturnsDeltas) {
-  auto w = World::create(WorldConfig{.nranks = 1});
-  task::ProgressThread pt(w->null_stream(0), task::ProgressBackoff::yield);
-  ASSERT_TRUE(wait_until([&] { return pt.iterations() > 0; },
-                         std::chrono::seconds(10)));
-  pt.stop();
-  // First sample covers everything since construction; after the thread
-  // stopped, the next window must be empty — windowed rates, not totals.
-  const auto w1 = pt.sample_window();
-  EXPECT_EQ(w1.iterations, pt.iterations());
-  EXPECT_EQ(w1.productive, pt.productive());
-  const auto w2 = pt.sample_window();
-  EXPECT_EQ(w2.iterations, 0u);
-  EXPECT_EQ(w2.productive, 0u);
 }

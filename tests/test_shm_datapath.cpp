@@ -103,15 +103,34 @@ void ping_pong(const Comm& c0, const Comm& c1, std::size_t bytes, int rounds) {
   }
 }
 
+// Like ping_pong, but every message arrives before its receive is posted:
+// the receiver probes until the message has parked on its unexpected queue,
+// then receives it.
+void unexpected_ping_pong(const Comm& c0, const Comm& c1, int rounds) {
+  std::uint64_t out = 0x3c, in = 0;
+  const auto hop = [&](const Comm& from, const Comm& to, int tag) {
+    from.isend(&out, sizeof out, dtype::Datatype::byte(), to.rank(), tag)
+        .wait();
+    while (!to.iprobe(from.rank(), tag)) {
+    }
+    to.recv(&in, sizeof in, dtype::Datatype::byte(), from.rank(), tag);
+  };
+  for (int i = 0; i < rounds; ++i) {
+    hop(c0, c1, 7);
+    hop(c1, c0, 8);
+  }
+}
+
 }  // namespace
 
 // Work-per-message gate on the shared pool lock: once a thread's magazines
 // are warm, a steady 8 B ping-pong recycles every request through them and
-// never takes the request pool's depot lock. 1 KiB payloads ride pooled
-// overflow cells; their size class may reach the depot at most once per
-// magazine batch, far below once per message. Both counts are exact, so a
-// change that puts a shared lock back on the per-message path fails here
-// instead of hiding in wall-time noise.
+// never takes the request pool's depot lock, and a ping-pong whose every
+// message parks as unexpected does the same for the unexpected-message
+// pool. 1 KiB payloads ride pooled overflow cells; their size class may
+// reach the depot at most once per magazine batch, far below once per
+// message. The counts are exact, so a change that puts a shared lock back
+// on the per-message path fails here instead of hiding in wall-time noise.
 TEST(ShmDatapath, SteadyPingPongStaysOffThePoolDepots) {
   auto w = World::create(WorldConfig{.nranks = 2});
   Comm c0 = w->comm_world(0);
@@ -125,6 +144,14 @@ TEST(ShmDatapath, SteadyPingPongStaysOffThePoolDepots) {
   EXPECT_GE(req1.hits + req1.misses - req0.hits - req0.misses,
             static_cast<std::uint64_t>(4 * kRounds));
   EXPECT_EQ(req1.depot - req0.depot, 0u);
+
+  unexpected_ping_pong(c0, c1, 100);  // warm-up
+  const base::PoolStats unexp0 = registry_stats("unexp");
+  unexpected_ping_pong(c0, c1, kRounds);
+  const base::PoolStats unexp1 = registry_stats("unexp");
+  EXPECT_GE(unexp1.hits + unexp1.misses - unexp0.hits - unexp0.misses,
+            static_cast<std::uint64_t>(2 * kRounds));
+  EXPECT_EQ(unexp1.depot - unexp0.depot, 0u);
 
   constexpr std::size_t kLarge = 1024;  // > slot_bytes: pooled overflow cell
   ping_pong(c0, c1, kLarge, 100);

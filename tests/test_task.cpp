@@ -212,8 +212,8 @@ TEST(ProgressThread, BackgroundProgressCompletesRendezvous) {
   Request rr = w->comm_world(1).irecv(out.data(), out.size(),
                                       dtype::Datatype::int64(), 0, 0);
   {
-    task::ProgressThread p0(w->null_stream(0), task::ProgressBackoff::yield);
-    task::ProgressThread p1(w->null_stream(1), task::ProgressBackoff::yield);
+    task::ProgressThread p0(w->null_stream(0));
+    task::ProgressThread p1(w->null_stream(1));
     // "Compute" while the helpers drive the rendezvous.
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(5);
@@ -230,7 +230,7 @@ TEST(ProgressThread, BackgroundProgressCompletesRendezvous) {
 
 TEST(ProgressThread, SleepBackoffIdlesCheaply) {
   auto w = World::create(WorldConfig{.nranks = 1});
-  task::ProgressThread pt(w->null_stream(0), task::ProgressBackoff::sleep);
+  task::ProgressThread pt(w->null_stream(0));
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
   pt.stop();
   // With exponential sleep the idle thread polls orders of magnitude less
